@@ -8,6 +8,13 @@ neither net overflowed the bound, the play is valid for the unbounded nets.
 `Inconclusive` is returned when the only way to relate the initial markings
 equates a real marking with the overflow state, i.e. the verdict would rest
 on unexplored behaviour.
+
+One refinement of the disjoint union of the two transition systems yields
+everything: its final partition decides the verdict and groups the witness
+pairs, and its rounds give the depth of every cross pair, the number of
+moves in which the challenger wins from it.  The distinguishing play starts
+at the initial pair and lowers the depth by exactly one per move, so it is
+as long as the initial pair's depth.
 """
 
 from __future__ import annotations
@@ -22,13 +29,8 @@ from .errors import (
     UnknownPlace,
     UnsupportedMode,
 )
-from .multiset import EMPTY, Multiset
-from .nets import (
-    Correspondence,
-    OpenNet,
-    close_place,
-    validate_correspondence,
-)
+from .multiset import Multiset
+from .nets import Correspondence, OpenNet, validate_correspondence
 from .semantics import (
     DEFAULT_CAP,
     DEFAULT_MAX_STEP,
@@ -53,9 +55,7 @@ __all__ = [
     "out_degree",
     "subtractable",
     "subtractable_markings",
-    "close_place",
     "partition_refinement",
-    "naive_bisimulation",
 ]
 
 BISIMILAR = "Bisimilar"
@@ -125,12 +125,19 @@ def subtractable_markings(z: OpenNet, u: Multiset):
         yield Multiset({s: c for s, c in zip(places, counts) if c})
 
 
-def partition_refinement(lts_states: int, successors) -> list:
+def partition_refinement(lts_states: int, successors, rounds: list | None = None) -> list:
     """Coarsest bisimulation partition of a finite labelled graph.
 
     `successors[i]` lists (label, target) pairs; labels need only be
     hashable and orderable through label_sort_key.  Returns a block id per
     state; equal ids mean bisimilar states.
+
+    Naive refinement (Kanellakis & Smolka): round k splits each block by the
+    set of (label, round k-1 block) pairs its states can reach, so two
+    states share a round-k block iff they are k-step bisimilar.  Each
+    partition refines the one before it.  When `rounds` is given, the block
+    list of every round that changed the partition is appended to it, round
+    1 first, so its last entry (if any) is the returned partition.
     """
     blocks = [0] * lts_states
     while True:
@@ -143,75 +150,60 @@ def partition_refinement(lts_states: int, successors) -> list:
         new_blocks = [renumber[signatures[i]] for i in range(lts_states)]
         if new_blocks == blocks:
             return blocks
+        if rounds is not None:
+            rounds.append(new_blocks)
         blocks = new_blocks
 
 
-def naive_bisimulation(lts_states: int, successors) -> set:
-    """Greatest bisimulation as a set of state pairs, by fixpoint descent.
+def _refine_union(lts1: Lts, lts2: Lts):
+    """Refine the disjoint union of two transition systems.
 
-    Quadratic and slow; kept as the independent oracle for the partition
-    refinement implementation.
+    State j of `lts2` is state n1 + j of the union, n1 being the number of
+    states of `lts1`.  Returns the final block list and depth(i, j) for
+    state i of `lts1` and j of `lts2`: the first round whose partition
+    separates the two, so the challenger wins from (i, j) in that many
+    moves and no fewer; 0 means bisimilar.  Partitions are nested, so the
+    rounds that separate a pair form a suffix and a binary search finds it.
     """
-    related = {(i, j) for i in range(lts_states) for j in range(lts_states)}
+    n1 = len(lts1.states)
+    successors = lts1.successors() + [
+        [(label, n1 + dst) for label, dst in out] for out in lts2.successors()
+    ]
+    rounds = []
+    blocks = partition_refinement(len(successors), successors, rounds)
 
-    def transfer(a, b):
-        for label, a2 in successors[a]:
-            if not any(lbl == label and (a2, b2) in related for lbl, b2 in successors[b]):
-                return False
-        return True
+    def depth(i: int, j: int) -> int:
+        j += n1
+        if not rounds or rounds[-1][i] == rounds[-1][j]:
+            return 0
+        lo, hi = 0, len(rounds) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if rounds[mid][i] == rounds[mid][j]:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo + 1
 
-    changed = True
-    while changed:
-        changed = False
-        for pair in sorted(related):
-            a, b = pair
-            if not (transfer(a, b) and transfer(b, a)):
-                related.discard(pair)
-                changed = True
-    return related
+    return blocks, depth
 
 
-def _separation_depths(n1, succ1, n2, succ2) -> dict:
-    """For each cross pair, the game round at which it is distinguished.
+def _extract_play(lts1: Lts, lts2: Lts, depth):
+    """A shortest alternating challenge/response trace for the initial pair.
 
-    Pairs missing from the result are bisimilar.  Round k means the
-    challenger can win in k moves and no fewer.
+    At a pair of depth d the challenger picks a move all of whose answers
+    land in pairs of depth below d.  Since the pair is (d-1)-step
+    bisimilar, one answer reaches a (d-2)-step bisimilar pair, of depth
+    exactly d-1, and the responder takes its deepest answer; at depth 1
+    there is no answer at all.  So every move lowers the depth by one, and
+    the play is exactly as long as the depth of the initial pair.
     """
-    alive = {(i, j) for i in range(n1) for j in range(n2)}
-    depths = {}
-    round_no = 0
-    while True:
-        round_no += 1
-        swapped = {(b, a) for a, b in alive}
-        dropped = set()
-        for i, j in alive:
-            ok = _transfer_ok(succ1[i], succ2[j], alive) and _transfer_ok(
-                succ2[j], succ1[i], swapped
-            )
-            if not ok:
-                dropped.add((i, j))
-        if not dropped:
-            return depths
-        for pair in dropped:
-            depths[pair] = round_no
-            alive.discard(pair)
-
-
-def _transfer_ok(challenger_edges, responder_edges, alive_pairs) -> bool:
-    for label, a2 in challenger_edges:
-        if not any(lbl == label and (a2, b2) in alive_pairs for lbl, b2 in responder_edges):
-            return False
-    return True
-
-
-def _extract_play(lts1: Lts, lts2: Lts, depths: dict):
-    """A shortest alternating challenge/response trace for the initial pair."""
     succ1 = lts1.successors()
     succ2 = lts2.successors()
     play = []
     i, j = lts1.initial, lts2.initial
-    while (i, j) in depths:
-        move, next_pair = _best_challenge(lts1, lts2, succ1, succ2, i, j, depths)
+    while depth(i, j):
+        move, next_pair = _best_challenge(lts1, lts2, succ1, succ2, i, j, depth)
         play.append(move)
         if next_pair is None:
             break
@@ -219,11 +211,7 @@ def _extract_play(lts1: Lts, lts2: Lts, depths: dict):
     return play
 
 
-def _pair_depth(depths, i, j):
-    return depths.get((i, j), 0)  # 0 = never separated (bisimilar)
-
-
-def _best_challenge(lts1, lts2, succ1, succ2, i, j, depths):
+def _best_challenge(lts1, lts2, succ1, succ2, i, j, depth):
     """The canonical winning challenge at a separated pair.
 
     A challenge wins iff every response lands in a pair separated strictly
@@ -231,16 +219,16 @@ def _best_challenge(lts1, lts2, succ1, succ2, i, j, depths):
     Returns the move and the pair it leads to (None when the responder is
     stuck).
     """
-    depth = depths[(i, j)]
+    here = depth(i, j)
     candidates = []
     for side, a, succ_a, b, succ_b in ((1, i, succ1, j, succ2), (2, j, succ2, i, succ1)):
         for label, a2 in succ_a[a]:
             responses = sorted(b2 for lbl, b2 in succ_b[b] if lbl == label)
             if side == 1:
-                rdepths = [_pair_depth(depths, a2, b2) for b2 in responses]
+                rdepths = [depth(a2, b2) for b2 in responses]
             else:
-                rdepths = [_pair_depth(depths, b2, a2) for b2 in responses]
-            if all(0 < d < depth for d in rdepths):
+                rdepths = [depth(b2, a2) for b2 in responses]
+            if all(0 < d < here for d in rdepths):
                 candidates.append((side, label, a2, responses, rdepths))
     # canonical: side, then label order, then target state index
     candidates.sort(key=lambda c: (c[0], label_sort_key(c[1]), c[2]))
@@ -303,23 +291,16 @@ def check_bisim(z1: OpenNet, z2: OpenNet, eta: Correspondence,
     lts2 = _prepared_lts(z2, kind, mode, tau_labels, cap, max_step)
     touched = lts1.has_overflow() or lts2.has_overflow()
 
+    blocks, depth = _refine_union(lts1, lts2)
     n1 = len(lts1.states)
-    successors = [[] for _ in range(n1 + len(lts2.states))]
-    for src, label, dst in lts1.edges:
-        successors[src].append((label, dst))
-    for src, label, dst in lts2.edges:
-        successors[n1 + src].append((label, n1 + dst))
-    blocks = partition_refinement(n1 + len(lts2.states), successors)
 
     if blocks[lts1.initial] == blocks[n1 + lts2.initial]:
-        witness = []
-        mixed_overflow = False
-        for i, s1 in enumerate(lts1.states):
-            for j, s2 in enumerate(lts2.states):
-                if blocks[i] == blocks[n1 + j]:
-                    witness.append((s1, s2))
-                    if (s1 is OVERFLOW) != (s2 is OVERFLOW):
-                        mixed_overflow = True
+        by_block = {}
+        for j, s2 in enumerate(lts2.states):
+            by_block.setdefault(blocks[n1 + j], []).append(s2)
+        witness = [(s1, s2) for i, s1 in enumerate(lts1.states)
+                   for s2 in by_block.get(blocks[i], ())]
+        mixed_overflow = any((s1 is OVERFLOW) != (s2 is OVERFLOW) for s1, s2 in witness)
         result = INCONCLUSIVE if mixed_overflow else BISIMILAR
         return BisimVerdict(
             kind=kind, mode=mode, result=result, bound=cap,
@@ -327,8 +308,7 @@ def check_bisim(z1: OpenNet, z2: OpenNet, eta: Correspondence,
             touched_overflow=touched or mixed_overflow, eta=eta,
         )
 
-    depths = _separation_depths(n1, lts1.successors(), len(lts2.states), lts2.successors())
-    play = _extract_play(lts1, lts2, depths)
+    play = _extract_play(lts1, lts2, depth)
     return BisimVerdict(
         kind=kind, mode=mode, result=NOT_BISIMILAR, bound=cap,
         witness=None, play=play, touched_overflow=touched, eta=eta,

@@ -4,7 +4,9 @@ The example nets are reconstructions used across many tests: two travel
 agencies that differ only in the degree of parallelism, a pair of nets
 mirroring the classic silent-prefix situation from process calculi, a
 token-absorbing loop on an input-open place, and a service-refinement rule
-with an interface of one input and one output place.
+with an interface of one input and one output place.  The slow fixpoint
+algorithms at the end are the oracles the refinement engine is checked
+against.
 """
 
 from __future__ import annotations
@@ -400,15 +402,161 @@ def all_markings(places, cap):
         yield Multiset({s: c for s, c in zip(places, counts) if c})
 
 
-def random_lts(rng: random.Random, max_states=30, max_labels=5):
-    """A random edge-labelled graph for checking the refinement engine."""
+def random_lts(rng: random.Random, max_states=30, max_labels=5, labels=None, max_out=3):
+    """A random edge-labelled graph for checking the refinement engine.
+
+    `labels` fixes the alphabet (otherwise l0.. up to `max_labels` of them
+    are drawn); each state gets up to `max_out` outgoing edges.
+    """
     from opennet.semantics import Lts
 
     n = rng.randint(2, max_states)
-    labels = [f"l{i}" for i in range(rng.randint(1, max_labels))]
+    if labels is None:
+        labels = [f"l{i}" for i in range(rng.randint(1, max_labels))]
     edges = []
     for src in range(n):
-        for _ in range(rng.randint(0, 3)):
+        for _ in range(rng.randint(0, max_out)):
             edges.append((src, rng.choice(labels), rng.randrange(n)))
     edges = sorted(set(edges))
     return Lts(states=list(range(n)), edges=edges, initial=0, mode="firing", cap=0)
+
+
+def chain(n: int) -> OpenNet:
+    """chain-n: t_i moves a token p_i -> p_(i+1) with label a_i.
+
+    p0 is input-open, p(n-1) output-open, and p0 holds the only token.
+    """
+    places = [f"p{i}" for i in range(n)]
+    transitions = {
+        f"t{i}": (f"a{i}", {places[i]: 1}, {places[i + 1]: 1}) for i in range(n - 1)
+    }
+    return build_net(places, transitions, [places[0]], [places[-1]], {places[0]: 1})
+
+
+def chain_x(n: int) -> OpenNet:
+    """chain-n plus x: 2·p0 -> p(n-1), labelled a0 like the first link."""
+    z = chain(n)
+    transitions = {
+        t: (z.label(t), dict(z.pre(t).items()), dict(z.post(t).items()))
+        for t in z.transitions
+    }
+    transitions["x"] = ("a0", {"p0": 2}, {f"p{n - 1}": 1})
+    return build_net(sorted(z.places), transitions, z.open_in, z.open_out,
+                     dict(z.initial.items()))
+
+
+# ---------------------------------------------------------------- oracles
+
+
+def naive_bisimulation(lts_states: int, successors) -> set:
+    """Greatest bisimulation as a set of state pairs, by fixpoint descent.
+
+    Quadratic and slow; the independent oracle for partition refinement.
+    """
+    related = {(i, j) for i in range(lts_states) for j in range(lts_states)}
+
+    def transfer(a, b):
+        for label, a2 in successors[a]:
+            if not any(lbl == label and (a2, b2) in related for lbl, b2 in successors[b]):
+                return False
+        return True
+
+    changed = True
+    while changed:
+        changed = False
+        for pair in sorted(related):
+            a, b = pair
+            if not (transfer(a, b) and transfer(b, a)):
+                related.discard(pair)
+                changed = True
+    return related
+
+
+def naive_separation_depths(n1, succ1, n2, succ2) -> dict:
+    """For each cross pair, the game round at which it is distinguished.
+
+    Pairs missing from the result are bisimilar.  Round k means the
+    challenger can win in k moves and no fewer.  A fixpoint over the cross
+    product of states: the independent oracle for the pair depths read
+    off the partition-refinement rounds.
+    """
+
+    def transfer_ok(challenger_edges, responder_edges, alive_pairs) -> bool:
+        for label, a2 in challenger_edges:
+            if not any(lbl == label and (a2, b2) in alive_pairs for lbl, b2 in responder_edges):
+                return False
+        return True
+
+    alive = {(i, j) for i in range(n1) for j in range(n2)}
+    depths = {}
+    round_no = 0
+    while True:
+        round_no += 1
+        swapped = {(b, a) for a, b in alive}
+        dropped = set()
+        for i, j in alive:
+            ok = transfer_ok(succ1[i], succ2[j], alive) and transfer_ok(
+                succ2[j], succ1[i], swapped
+            )
+            if not ok:
+                dropped.add((i, j))
+        if not dropped:
+            return depths
+        for pair in dropped:
+            depths[pair] = round_no
+            alive.discard(pair)
+
+
+def check_play(lts1, lts2, play, initial_depth):
+    """Assert that a play is a lost bisimulation game on the two systems.
+
+    Moves name states by their formatted markings, so each system's states
+    are looked up by that text.
+    """
+    from opennet.semantics import format_marking
+
+    index1 = {format_marking(s): k for k, s in enumerate(lts1.states)}
+    index2 = {format_marking(s): k for k, s in enumerate(lts2.states)}
+    assert len(index1) == len(lts1.states) and len(index2) == len(lts2.states)
+    edges1, edges2 = set(lts1.edges), set(lts2.edges)
+    assert len(play) == initial_depth
+    pair = (lts1.initial, lts2.initial)
+    for n, move in enumerate(play):
+        assert (index1[move.source_pair[0]], index2[move.source_pair[1]]) == pair
+        if move.side == 1:
+            a, b = pair
+            edges_a, edges_b, index_a, index_b = edges1, edges2, index1, index2
+        else:
+            b, a = pair
+            edges_a, edges_b, index_a, index_b = edges2, edges1, index2, index1
+        a2 = index_a[move.challenger_target]
+        assert (a, move.label, a2) in edges_a
+        if move.response_target is None:
+            assert n == len(play) - 1
+            assert not any(src == b and lbl == move.label for src, lbl, _ in edges_b)
+            return
+        b2 = index_b[move.response_target]
+        assert (b, move.label, b2) in edges_b
+        pair = (a2, b2) if move.side == 1 else (b2, a2)
+    raise AssertionError("the play ends with an answered move")
+
+
+def compared_ltss(z1, z2, eta, kind="strong", mode="firing", tau_labels=frozenset(),
+                  cap=3, max_step=None):
+    """The two transition systems `check_bisim` compares.
+
+    Both nets are explored (and weakly closed for weak checks); the first
+    one's interaction labels are then renamed through eta.
+    """
+    from opennet.semantics import DEFAULT_MAX_STEP, Obs, build_lts, relabel, weak_closure
+
+    def prepared(z):
+        lts = build_lts(z, mode=mode, cap=cap,
+                        max_step=DEFAULT_MAX_STEP if max_step is None else max_step)
+        return weak_closure(lts, tau_labels) if kind == "weak" else lts
+
+    def through_eta(obs):
+        table = {"plus": eta.eta_in, "minus": eta.eta_out}.get(obs.kind)
+        return obs if table is None else Obs(obs.kind, table[obs.name])
+
+    return relabel(prepared(z1), through_eta), prepared(z2)

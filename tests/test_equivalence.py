@@ -9,10 +9,11 @@ from opennet.equivalence import (
     BISIMILAR,
     INCONCLUSIVE,
     NOT_BISIMILAR,
+    _extract_play,
+    _refine_union,
     check_bisim,
     check_upto,
     induced_correspondence,
-    naive_bisimulation,
     out_degree,
     partition_refinement,
     search_correspondence,
@@ -35,7 +36,13 @@ from netlib import (
     agency_a,
     agency_b,
     ccs_eta,
+    chain,
+    chain_x,
+    check_play,
+    compared_ltss,
     mutate_preserving,
+    naive_bisimulation,
+    naive_separation_depths,
     random_composable_span,
     random_lts,
     random_net,
@@ -247,6 +254,70 @@ def test_partition_refinement_matches_naive_oracle():
         for i in range(len(lts.states)):
             for j in range(len(lts.states)):
                 assert (blocks[i] == blocks[j]) == ((i, j) in related)
+
+
+def _random_lts_pairs(count=240):
+    """Seeded pairs over one alphabet; every sixth pair has an edgeless side."""
+    rng = random.Random(7)
+    labels = ["l0", "l1"]
+    for k in range(count):
+        lts1 = random_lts(rng, max_states=10, labels=labels, max_out=0 if k % 6 == 5 else 2)
+        lts2 = random_lts(rng, max_states=10, labels=labels, max_out=0 if k % 12 == 11 else 2)
+        yield lts1, lts2
+
+
+def test_pair_depths_match_naive_oracle():
+    bisimilar = separated = 0
+    for lts1, lts2 in _random_lts_pairs():
+        n1, n2 = len(lts1.states), len(lts2.states)
+        _, depth = _refine_union(lts1, lts2)
+        oracle = naive_separation_depths(n1, lts1.successors(), n2, lts2.successors())
+        for i in range(n1):
+            for j in range(n2):
+                assert depth(i, j) == oracle.get((i, j), 0), (i, j)
+        if depth(lts1.initial, lts2.initial):
+            separated += 1
+        else:
+            bisimilar += 1
+    assert bisimilar >= 20 and separated >= 20
+
+
+def test_plays_from_refinement_are_lost_games():
+    plays = 0
+    for lts1, lts2 in _random_lts_pairs():
+        _, depth = _refine_union(lts1, lts2)
+        initial_depth = depth(lts1.initial, lts2.initial)
+        if initial_depth:
+            check_play(lts1, lts2, _extract_play(lts1, lts2, depth), initial_depth)
+            plays += 1
+    assert plays >= 20
+
+
+@pytest.mark.parametrize("case", ["agency-step", "ccs-weak"])
+def test_verdict_play_is_a_lost_game(case):
+    if case == "agency-step":
+        args = (agency_a(), agency_b(), EMPTY_ETA)
+        options = dict(kind="strong", mode=STEP, cap=2)
+    else:
+        args = (silent_then_act(), act_only(), ccs_eta())
+        options = dict(kind="weak", mode=FIRING, tau_labels=frozenset({"tau"}), cap=2)
+    verdict = check_bisim(*args, **options)
+    assert verdict.result == NOT_BISIMILAR
+    lts1, lts2 = compared_ltss(*args, **options)
+    oracle = naive_separation_depths(len(lts1.states), lts1.successors(),
+                                     len(lts2.states), lts2.successors())
+    check_play(lts1, lts2, verdict.play, oracle[(lts1.initial, lts2.initial)])
+
+
+def test_chain5_against_chain5_x_at_cap_4():
+    """The case whose cross-product depth fixpoint took minutes."""
+    options = dict(kind="strong", mode=FIRING, cap=4)
+    eta = Correspondence(eta_in={"p0": "p0"}, eta_out={"p4": "p4"})
+    verdict = check_bisim(chain(5), chain_x(5), eta, **options)
+    assert verdict.result == NOT_BISIMILAR
+    assert len(verdict.play) == 3
+    lts1, lts2 = compared_ltss(chain(5), chain_x(5), eta, **options)
+    check_play(lts1, lts2, verdict.play, 3)
 
 
 def congruence_quadruple(rng, weak):
