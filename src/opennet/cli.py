@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import documents, equivalence, nets, rewriting, semantics
+from . import documents, nets, rewriting, semantics
 from .composition import glue_names, pushout
 from .equivalence import (
     BISIMILAR,
@@ -143,7 +143,7 @@ def cmd_lts(args) -> int:
     return EXIT_OK
 
 
-def _load_eta(args, z1, z2):
+def _load_eta(args):
     if args.eta and args.eta != "auto":
         return documents.parse_eta(_read(args.eta))
     return None
@@ -153,7 +153,7 @@ def cmd_bisim(args) -> int:
     _, z1 = documents.parse_net(_read(args.net1))
     _, z2 = documents.parse_net(_read(args.net2))
     tau = _tau_set(args.tau)
-    eta = _load_eta(args, z1, z2)
+    eta = _load_eta(args)
     if eta is None:
         verdict = search_correspondence(
             z1, z2, kind=args.kind, mode=args.mode, tau_labels=tau,
@@ -173,7 +173,7 @@ def cmd_upto(args) -> int:
     _, z2 = documents.parse_net(_read(args.net2))
     pairs = documents.parse_relation(_read(args.relation))
     tau = _tau_set(args.tau)
-    eta = _load_eta(args, z1, z2)
+    eta = _load_eta(args)
     if eta is None:
         eta = nets.Correspondence(
             eta_in={s: s for s in sorted(z1.open_in)},

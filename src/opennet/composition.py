@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import multiset, nets
 from .errors import NotComposable, NotEmbedding, SourceMismatch
-from .multiset import Multiset, SetPushout
+from .multiset import SetPushout
 from .nets import Morphism, OpenNet, PetriNet, Transition
 
 LEFT_PREFIX = "L:"

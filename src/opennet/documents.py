@@ -27,9 +27,12 @@ RELATION_FORMAT = "opennet-relation/1"
 
 def _loads(text: str) -> dict:
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    if not isinstance(doc, dict):
+        raise DocumentError(f"a document must be a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _dumps(obj) -> str:
@@ -45,11 +48,16 @@ def _check_id(name, what):
     return name
 
 
+def _is_count(value) -> bool:
+    """A non-negative integer; JSON's true and false are not counts."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def _marking_from(obj, what="marking") -> Multiset:
     if not isinstance(obj, dict):
         raise DocumentError(f"{what} must be an object mapping places to counts")
     for place, count in obj.items():
-        if not isinstance(count, int) or count < 0:
+        if not _is_count(count):
             raise DocumentError(f"{what} count for {place!r} must be a non-negative integer")
     return Multiset({p: c for p, c in obj.items() if c})
 
@@ -59,6 +67,8 @@ def marking_to_json(marking: Multiset) -> dict:
 
 
 def net_from_json(doc: dict) -> tuple[str, OpenNet]:
+    if not isinstance(doc, dict):
+        raise DocumentError(f"a net must be a JSON object, got {type(doc).__name__}")
     if doc.get("format") != NET_FORMAT:
         raise DocumentError(f"expected format {NET_FORMAT!r}, got {doc.get('format')!r}")
     name = doc.get("name", "")
@@ -77,6 +87,8 @@ def net_from_json(doc: dict) -> tuple[str, OpenNet]:
             raise DocumentError(f"duplicate place id {pid!r}")
         places.add(pid)
         attrs = attrs or {}
+        if not isinstance(attrs, dict):
+            raise DocumentError(f"place {pid!r} must map to an object of fields")
         unknown = set(attrs) - {"open_in", "open_out", "initial"}
         if unknown:
             raise DocumentError(f"place {pid!r} has unknown fields {sorted(unknown)}")
@@ -85,7 +97,7 @@ def net_from_json(doc: dict) -> tuple[str, OpenNet]:
         if attrs.get("open_out", False):
             open_out.add(pid)
         count = attrs.get("initial", 0)
-        if not isinstance(count, int) or count < 0:
+        if not _is_count(count):
             raise DocumentError(f"initial count of place {pid!r} must be a non-negative integer")
         if count:
             initial[pid] = count
@@ -98,6 +110,8 @@ def net_from_json(doc: dict) -> tuple[str, OpenNet]:
         if tid in transitions:
             raise DocumentError(f"duplicate transition id {tid!r}")
         attrs = attrs or {}
+        if not isinstance(attrs, dict):
+            raise DocumentError(f"transition {tid!r} must map to an object of fields")
         unknown = set(attrs) - {"label", "pre", "post"}
         if unknown:
             raise DocumentError(f"transition {tid!r} has unknown fields {sorted(unknown)}")
@@ -159,6 +173,8 @@ def _morphism_from(doc: dict, source: OpenNet, target: OpenNet, what: str) -> Mo
         raise DocumentError(f"{what} must be an object with 'places' and 'transitions'")
     place_map = doc.get("places", {})
     trans_map = doc.get("transitions", {})
+    if not isinstance(place_map, dict) or not isinstance(trans_map, dict):
+        raise DocumentError(f"{what} must map ids to ids under 'places' and 'transitions'")
     f = Morphism(source=source, target=target, place_map=dict(place_map),
                  trans_map=dict(trans_map))
     report = nets.validate_morphism(f)
@@ -176,17 +192,25 @@ def _morphism_to(f: Morphism) -> dict:
     }
 
 
-def parse_span(text: str):
-    """A span document: interface, left and right nets plus both leg maps."""
-    doc = _loads(text)
-    if doc.get("format") != SPAN_FORMAT:
-        raise DocumentError(f"expected format {SPAN_FORMAT!r}, got {doc.get('format')!r}")
+def _legs_from(doc: dict) -> tuple[Morphism, Morphism]:
+    """The two embeddings of a span or rule document out of its interface."""
+    for key in ("interface", "left", "right"):
+        if key not in doc:
+            raise DocumentError(f"missing the {key!r} net")
     _, z0 = net_from_json(doc["interface"])
     _, z1 = net_from_json(doc["left"])
     _, z2 = net_from_json(doc["right"])
     f1 = _morphism_from(doc.get("left_map", {}), z0, z1, "left map")
     f2 = _morphism_from(doc.get("right_map", {}), z0, z2, "right map")
     return f1, f2
+
+
+def parse_span(text: str):
+    """A span document: interface, left and right nets plus both leg maps."""
+    doc = _loads(text)
+    if doc.get("format") != SPAN_FORMAT:
+        raise DocumentError(f"expected format {SPAN_FORMAT!r}, got {doc.get('format')!r}")
+    return _legs_from(doc)
 
 
 def emit_span(f1: Morphism, f2: Morphism, names=("interface", "left", "right")) -> str:
@@ -205,12 +229,10 @@ def parse_rule(text: str) -> tuple[Rule, dict]:
     doc = _loads(text)
     if doc.get("format") != RULE_FORMAT:
         raise DocumentError(f"expected format {RULE_FORMAT!r}, got {doc.get('format')!r}")
-    _, k = net_from_json(doc["interface"])
-    _, lhs = net_from_json(doc["left"])
-    _, rhs = net_from_json(doc["right"])
-    left = _morphism_from(doc.get("left_map", {}), k, lhs, "left map")
-    right = _morphism_from(doc.get("right_map", {}), k, rhs, "right map")
+    left, right = _legs_from(doc)
     meta = doc.get("behaviour_check", {})
+    if not isinstance(meta, dict):
+        raise DocumentError("'behaviour_check' must be an object")
     return Rule(left=left, right=right), meta
 
 

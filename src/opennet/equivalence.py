@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from . import multiset, semantics
 from .errors import (
+    InvalidBound,
     NotACorrespondence,
     PairExceedsCap,
     UnknownPlace,
@@ -139,11 +140,17 @@ def partition_refinement(lts_states: int, successors, rounds: list | None = None
     list of every round that changed the partition is appended to it, round
     1 first, so its last entry (if any) is the returned partition.
     """
+    # each distinct label's key is computed once and shared by all its edges;
+    # keys and targets are kept per state as two flat tuples
+    distinct = {lbl for out in successors for lbl, _ in out}
+    keys = {lbl: label_sort_key(lbl) for lbl in distinct}
+    labels = [tuple(keys[lbl] for lbl, _ in out) for out in successors]
+    targets = [tuple(dst for _, dst in out) for out in successors]
     blocks = [0] * lts_states
     while True:
         signatures = []
         for i in range(lts_states):
-            sig = frozenset((label_sort_key(lbl), blocks[dst]) for lbl, dst in successors[i])
+            sig = frozenset(zip(labels[i], [blocks[dst] for dst in targets[i]]))
             signatures.append((blocks[i], tuple(sorted(sig))))
         order = sorted(set(signatures))
         renumber = {sig: k for k, sig in enumerate(order)}
@@ -403,6 +410,8 @@ def check_upto(z1: OpenNet, z2: OpenNet, eta: Correspondence, pairs,
     The technique is specific to firing behaviour: a parallel step can
     consume arbitrarily many tokens, so no out-degree bound exists.
     """
+    if cap < 0:
+        raise InvalidBound(f"the cap ({cap}) must be non-negative")
     if mode != FIRING:
         raise UnsupportedMode(
             "the up-to technique applies to firing bisimilarity only; "
@@ -434,24 +443,16 @@ def check_upto(z1: OpenNet, z2: OpenNet, eta: Correspondence, pairs,
                 out.append(lts.states[dst])
         return out
 
-    def eta_marking(v: Multiset, forward: bool) -> Multiset:
-        table = eta.eta_in if forward else {b: a for a, b in eta.eta_in.items()}
-        return multiset.image(table, v)
-
-    def eta_label(label, forward: bool):
-        if label is None or label.kind == "lab":
-            return label
-        table = eta.eta_in if label.kind == "plus" else eta.eta_out
-        if not forward:
-            table = {b: a for a, b in table.items()}
-        return Obs(label.kind, table[label.name])
-
+    inverse = eta.inverse()
     for u1, u2 in pair_list:
         for direction in (1, 2):
             challenger_z = z1 if direction == 1 else z2
             responder_z = z2 if direction == 1 else z1
             cu = u1 if direction == 1 else u2
             ru = u2 if direction == 1 else u1
+            # carries the challenger's places over to the responder's
+            mirror = eta if direction == 1 else inverse
+            mirror_obs = _eta_obs(mirror)
             for step in semantics.enabled_steps(challenger_z, cu, FIRING, cap, 1):
                 target = step.target
                 if not all(c <= cap for _, c in target.items()):
@@ -464,11 +465,11 @@ def check_upto(z1: OpenNet, z2: OpenNet, eta: Correspondence, pairs,
                 if label.kind == "lab" and label.name in tau_labels:
                     want = None
                 else:
-                    want = eta_label(label, forward=(direction == 1))
+                    want = mirror_obs(label)
                 answered = False
                 for answer in responses(responder_z, direction % 2 + 1, ru, want):
                     for v in subtractable_markings(challenger_z, target):
-                        v_mirror = eta_marking(v, forward=(direction == 1))
+                        v_mirror = multiset.image(mirror.eta_in, v)
                         if not v_mirror <= answer:
                             continue
                         cut = target - v

@@ -42,6 +42,10 @@ class NotCompatible(OpenNetError):
     """A step split that violates the compatibility equations."""
 
 
+class InvalidBound(OpenNetError):
+    """A negative marking cap or step-size bound."""
+
+
 class InitialExceedsCap(OpenNetError):
     """Transition-system construction rooted at a marking outside the cap."""
 

@@ -129,10 +129,6 @@ class Multiset:
         """Sub-multiset of the items contained in `keep`."""
         return _wrap({i: c for i, c in self._entries.items() if i in keep})
 
-    def without(self, drop) -> "Multiset":
-        """Sub-multiset of the items not contained in `drop`."""
-        return _wrap({i: c for i, c in self._entries.items() if i not in drop})
-
     def __repr__(self):
         inner = ", ".join(f"{item!r}: {count}" for item, count in self.items())
         return f"Multiset({{{inner}}})"
@@ -160,14 +156,6 @@ def msum(parts: Iterable[Multiset]) -> Multiset:
     for part in parts:
         total = total + part
     return total
-
-
-def leq(u: Multiset, v: Multiset) -> bool:
-    return u <= v
-
-
-def diff(v: Multiset, u: Multiset) -> Multiset:
-    return v - u
 
 
 def project(f: Mapping, u: Multiset) -> Multiset:

@@ -54,9 +54,6 @@ class OpenNet:
     def post(self, t: str) -> Multiset:
         return self.net.transitions[t].post
 
-    def labels(self) -> frozenset:
-        return frozenset(tr.label for tr in self.net.transitions.values())
-
     def place_producers(self, s: str) -> frozenset:
         """Transitions with s in their post-set."""
         return frozenset(t for t, tr in self.net.transitions.items() if s in tr.post)
@@ -102,12 +99,6 @@ class Morphism:
     place_map: Mapping[str, str]
     trans_map: Mapping[str, str]
 
-    def apply_place(self, s: str) -> str:
-        return self.place_map[s]
-
-    def apply_trans(self, t: str) -> str:
-        return self.trans_map[t]
-
     def place_image(self) -> frozenset:
         return frozenset(self.place_map.values())
 
@@ -116,9 +107,6 @@ class Morphism:
 
     def place_preimages(self, s: str) -> frozenset:
         return frozenset(x for x, y in self.place_map.items() if y == s)
-
-    def trans_preimages(self, t: str) -> frozenset:
-        return frozenset(x for x, y in self.trans_map.items() if y == t)
 
 
 def identity(z: OpenNet) -> Morphism:
@@ -318,9 +306,6 @@ class Correspondence:
 
     eta_in: Mapping[str, str]
     eta_out: Mapping[str, str]
-
-    def place(self, s: str, polarity: str) -> str:
-        return self.eta_in[s] if polarity == "+" else self.eta_out[s]
 
     def inverse(self) -> "Correspondence":
         return Correspondence(

@@ -25,7 +25,6 @@ from .errors import (
     NotProper,
     SourceMismatch,
 )
-from .multiset import Multiset
 from .nets import Correspondence, Morphism, OpenNet, PetriNet
 from .semantics import DEFAULT_CAP, DEFAULT_MAX_STEP, FIRING
 
@@ -48,19 +47,6 @@ class Rule:
     @property
     def rhs(self) -> OpenNet:
         return self.right.target
-
-
-def validate_rule(rule: Rule) -> nets.ValidationReport:
-    report = nets.ValidationReport()
-    if rule.left.source != rule.right.source:
-        report.add("SourceMismatch", "rule legs do not share the interface net")
-    for name, leg in (("left", rule.left), ("right", rule.right)):
-        sub = nets.validate_morphism(leg)
-        for issue in sub.issues:
-            report.add(issue.code, f"{name} leg: {issue.message}")
-        if sub.ok and not nets.is_embedding(leg):
-            report.add("NotEmbedding", f"{name} leg is not injective")
-    return report
 
 
 @dataclass(frozen=True)
@@ -93,10 +79,6 @@ class ConditionReport:
         return "\n".join(str(v) for v in self.violations)
 
 
-def _match_respects_counts(pattern_pre: Multiset, host_pre: Multiset, assignment) -> bool:
-    return multiset.image(assignment, pattern_pre) == host_pre
-
-
 def find_matches(lhs: OpenNet, z: OpenNet) -> list:
     """All embeddings of a pattern net into a host net, in canonical order.
 
@@ -108,11 +90,6 @@ def find_matches(lhs: OpenNet, z: OpenNet) -> list:
     pattern_trans = sorted(lhs.transitions)
     host_trans = sorted(z.transitions)
     matches = []
-
-    def place_candidates(s, partial_places, used_places):
-        if s in partial_places:
-            return [partial_places[s]]
-        return [c for c in sorted(z.places) if c not in used_places]
 
     def unify_places(pairs, partial_places, used_places):
         """Extend the place assignment so each (pattern multiset, host multiset)
@@ -171,15 +148,8 @@ def find_matches(lhs: OpenNet, z: OpenNet) -> list:
                 )
 
     extend_transitions(0, {}, set(), {}, set())
-    unique = []
-    seen = set()
-    for m in matches:
-        key = (tuple(sorted(m.place_map.items())), tuple(sorted(m.trans_map.items())))
-        if key not in seen:
-            seen.add(key)
-            unique.append(m)
-    unique.sort(key=lambda m: (sorted(m.trans_map.items()), sorted(m.place_map.items())))
-    return unique
+    matches.sort(key=lambda m: (sorted(m.trans_map.items()), sorted(m.place_map.items())))
+    return matches
 
 
 def _require_match(rule: Rule, m: Morphism):
@@ -268,6 +238,11 @@ def pushout_complement(rule: Rule, m: Morphism):
     report = check_po_complement(rule, m)
     if not report.ok:
         raise ConditionsViolated(str(report), report=report)
+    return _complement(rule, m)
+
+
+def _complement(rule: Rule, m: Morphism):
+    """The context construction, for a match that meets conditions 1-3."""
     z = m.target
     removed_places = {m.place_map[s] for s in _deleted_places(rule)}
     removed_trans = {m.trans_map[t] for t in _deleted_transitions(rule)}
@@ -392,7 +367,7 @@ def apply_rule(rule: Rule, m: Morphism) -> TransformResult:
     report = check_proper(rule, m)
     if not report.ok:
         raise NotProper(str(report), report=report)
-    context, to_context, embed = pushout_complement(rule, m)
+    context, to_context, embed = _complement(rule, m)
     if not check_composable(to_context, rule.right):
         raise NotComposableRight(
             "context and right leg are not composable; the properness check "
@@ -456,39 +431,12 @@ def check_behaviour_preserving(rule: Rule, kind: str = "strong", mode: str = FIR
 def check_cor_proper(rule: Rule, m: Morphism) -> ConditionReport:
     """The simplified match conditions for behaviour-preserving rules.
 
-    (a) is the dangling condition; (b) requires host openness where the
-    rule deletes transitions at a place that is open in the pattern;
-    (c) requires host openness where the rule adds transitions at a
-    preserved place.  For behaviour-preserving rules these imply the full
-    properness conditions.
+    The paper's (a) is the dangling condition 1; (b) is condition 2, host
+    openness where the rule deletes transitions at a place that is open in
+    the pattern; (c) is condition 4, host openness where the rule adds
+    transitions at a preserved place.  For behaviour-preserving rules these
+    imply the full properness conditions, so the report is check_proper's
+    without its violations of conditions 3 and 5.
     """
-    _require_match(rule, m)
-    report = ConditionReport()
-    z = m.target
-    deleted_places = _deleted_places(rule)
-    deleted_trans_images = {m.trans_map[t] for t in _deleted_transitions(rule)}
-    for s in sorted(deleted_places):
-        hs = m.place_map[s]
-        hanging = (z.place_producers(hs) | z.place_consumers(hs)) - deleted_trans_images
-        for t in sorted(hanging):
-            report.add(
-                "a", s,
-                f"host transition {t!r} stays attached to deleted place image {hs!r}",
-            )
-    lin, lout = nets.in_places(rule.left), nets.out_places(rule.left)
-    rin, rout = nets.in_places(rule.right), nets.out_places(rule.right)
-    for s0 in sorted(lin):
-        if rule.left.place_map[s0] in rule.lhs.open_in:
-            if m.place_map[rule.left.place_map[s0]] not in z.open_in:
-                report.add("b", s0, "deleted ingoing transition at a closed host place")
-    for s0 in sorted(lout):
-        if rule.left.place_map[s0] in rule.lhs.open_out:
-            if m.place_map[rule.left.place_map[s0]] not in z.open_out:
-                report.add("b", s0, "deleted outgoing transition at a closed host place")
-    for s0 in sorted(rin - lin):
-        if m.place_map[rule.left.place_map[s0]] not in z.open_in:
-            report.add("c", s0, "added ingoing transition at a closed host place")
-    for s0 in sorted(rout - lout):
-        if m.place_map[rule.left.place_map[s0]] not in z.open_out:
-            report.add("c", s0, "added outgoing transition at a closed host place")
-    return report
+    report = check_proper(rule, m)
+    return ConditionReport([v for v in report.violations if v.condition in {"1", "2", "4"}])

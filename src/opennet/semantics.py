@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import multiset, nets
+from . import multiset
 from .composition import PushoutResult, places_square
 from .errors import (
     IllegalEvent,
     InitialExceedsCap,
+    InvalidBound,
     NotCompatible,
     NotEnabled,
     ProjectionMismatch,
@@ -403,9 +404,6 @@ class Lts:
     mode: str
     cap: int
 
-    def index(self) -> dict:
-        return {state: i for i, state in enumerate(self.states)}
-
     def successors(self):
         out = [[] for _ in self.states]
         for src, label, dst in self.edges:
@@ -447,6 +445,8 @@ def build_lts(z: OpenNet, mode: str = FIRING, cap: int = DEFAULT_CAP,
     state, which has no outgoing edges.  Exploration order is canonical, so
     repeated runs yield identical state and edge lists.
     """
+    if cap < 0 or max_step < 0:
+        raise InvalidBound(f"the cap ({cap}) and the step bound ({max_step}) must be non-negative")
     start = z.initial if root is None else root
     if not _within_cap(start, cap):
         raise InitialExceedsCap(f"marking {start} exceeds the per-place cap {cap}")

@@ -3,10 +3,11 @@
 The example nets are reconstructions used across many tests: two travel
 agencies that differ only in the degree of parallelism, a pair of nets
 mirroring the classic silent-prefix situation from process calculi, a
-token-absorbing loop on an input-open place, and a service-refinement rule
-with an interface of one input and one output place.  The slow fixpoint
-algorithms at the end are the oracles the refinement engine is checked
-against.
+token-absorbing loop on an input-open place, and two rules on a quote
+service with an interface of one input and one output place: one refines
+it (and changes behaviour), one duplicates its transition (and preserves
+behaviour).  The slow fixpoint algorithms at the end are the oracles the
+refinement engine is checked against.
 """
 
 from __future__ import annotations
@@ -193,6 +194,29 @@ def service_host() -> OpenNet:
     )
 
 
+def duplicating_rule() -> Rule:
+    """service_rule's quote service, answered by two identical quote transitions.
+
+    Same interface and left-hand side as service_rule, but the right-hand
+    side keeps `serve` and adds a copy `serve_dup`.  Both sides are
+    bisimilar under the induced correspondence, so the rule is behaviour
+    preserving; its one match in service_host is proper.
+    """
+    base = service_rule()
+    rhs = build_net(
+        ["inq", "itin"],
+        {
+            "serve": ("quote", {"inq": 1}, {"itin": 1}),
+            "serve_dup": ("quote", {"inq": 1}, {"itin": 1}),
+        },
+        open_in=["inq"], open_out=["itin"],
+        initial={},
+    )
+    right = Morphism(source=base.interface, target=rhs,
+                     place_map={"inq": "inq", "itin": "itin"}, trans_map={})
+    return Rule(left=base.left, right=right)
+
+
 def loop_replacement_rule() -> Rule:
     """Replace a labelled loop by a two-transition round trip."""
     k = build_net(["s"], {}, open_in=["s"], open_out=["s"], initial={"s": 1})
@@ -299,7 +323,7 @@ def random_composable_span(rng: random.Random, max_interface=2):
     def side_flags(z_bare, own_prefix, needed_in, needed_out):
         open_in = set(needed_in)
         open_out = set(needed_out)
-        for s in z_bare.places:
+        for s in sorted(z_bare.places):
             if s in z0.places:
                 if s in open_in0 and rng.random() < 0.5:
                     open_in.add(s)
@@ -374,6 +398,39 @@ def mutate_preserving(rng: random.Random, z: OpenNet, weak=False):
         eta_out={s: pmap[s] for s in z.open_out},
     )
     return w2, eta, pmap, tmap
+
+
+def preserving_rule(rng: random.Random, max_places=3, max_trans=2) -> Rule:
+    """A rule whose two sides are strongly bisimilar by construction.
+
+    The left-hand side is a random net.  The interface is its open places,
+    each open both ways and with no transitions, like service_rule's; the
+    right-hand side is mutate_preserving's copy of the left, and the right
+    leg follows that copy's renaming.
+    """
+    lhs = random_net(rng, max_places, max_trans)
+    shared = sorted(lhs.open_in | lhs.open_out)
+    k = build_net(shared, {}, shared, shared, lhs.initial.restrict(shared))
+    rhs, _, pmap, _ = mutate_preserving(rng, lhs)
+    left = Morphism(source=k, target=lhs, place_map={s: s for s in shared}, trans_map={})
+    right = Morphism(source=k, target=rhs, place_map={s: pmap[s] for s in shared},
+                     trans_map={})
+    return Rule(left=left, right=right)
+
+
+def random_host(rng: random.Random, z: OpenNet, max_new_places=2, max_new_trans=2) -> OpenNet:
+    """z grown by a few places and transitions, as a host to match z into.
+
+    A place of z is open in the host only in a direction z opens it, so the
+    inclusion is a match whenever the new arcs land at places open the
+    right way; the other matches are whatever find_matches finds.
+    """
+    grown, _ = _extend(rng, z, "h", max_new_places, max_new_trans)
+    open_in = [s for s in sorted(grown.places)
+               if (s not in z.places or s in z.open_in) and rng.random() < 0.5]
+    open_out = [s for s in sorted(grown.places)
+                if (s not in z.places or s in z.open_out) and rng.random() < 0.5]
+    return _with_flags(grown, open_in, open_out)
 
 
 def net_isomorphic(z1: OpenNet, z2: OpenNet) -> bool:

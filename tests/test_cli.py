@@ -1,14 +1,20 @@
 """The command line, run in-process: exit codes and byte-exact reports.
 
 The expected reports under data/ were recorded once and are kept fixed, so
-any change to a verdict, witness or play shows up here.
+any change to a verdict, witness, play, match listing, condition report or
+rewritten net shows up here.  Malformed input must end in exit code 3 with
+a one-line diagnosis, never in a traceback or a verdict's exit code.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
+from opennet import documents
 from opennet.cli import main
+
+from netlib import absorber, loop_span
 
 DATA = Path(__file__).parent / "data"
 
@@ -28,3 +34,130 @@ def test_bisim_report_and_exit_code(capsys, expected, exit_code, args):
     assert main(argv) == exit_code
     out = capsys.readouterr().out
     assert out == (DATA / expected).read_text(encoding="utf-8")
+
+
+REWRITING_CASES = [
+    ("match_service.out", 0, ["match", "service_rule.json", "service_host.json"]),
+    ("apply_service.out", 0, ["apply", "service_rule.json", "service_host.json"]),
+    ("check_rule_service.out", 1, ["check-rule", "service_rule.json"]),
+    ("match_duplicating.out", 0, ["match", "duplicating_rule.json", "service_host.json"]),
+    ("apply_duplicating.out", 0, ["apply", "duplicating_rule.json", "service_host.json"]),
+    ("check_rule_duplicating.out", 0, ["check-rule", "duplicating_rule.json"]),
+    ("match_span98.out", 0, ["match", "span98_rule.json", "span98_host.json"]),
+    ("match_span105.out", 0, ["match", "span105_rule.json", "span105_host.json"]),
+    ("apply_span105.out", 0,
+     ["apply", "span105_rule.json", "span105_host.json", "--match", "1"]),
+]
+
+
+def _argv(args):
+    return [str(DATA / a) if a.endswith(".json") else a for a in args]
+
+
+@pytest.mark.parametrize("expected, exit_code, args", REWRITING_CASES,
+                         ids=[c[0] for c in REWRITING_CASES])
+def test_rewriting_report_and_exit_code(capsys, expected, exit_code, args):
+    assert main(_argv(args)) == exit_code
+    out = capsys.readouterr().out
+    assert out == (DATA / expected).read_text(encoding="utf-8")
+
+
+def test_apply_at_an_improper_match_reports_the_violations(capsys):
+    argv = _argv(["apply", "span105_rule.json", "span105_host.json", "--match", "0"])
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (DATA / "apply_span105_match0.err").read_text(encoding="utf-8")
+
+
+def test_apply_with_match_index_out_of_range(capsys):
+    assert main(_argv(["apply", "service_rule.json", "service_host.json", "--match", "1"])) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "match index 1 out of range" in captured.err
+
+
+# ------------------------------------------------------------ malformed input
+
+
+def _data(name):
+    return (DATA / name).read_text(encoding="utf-8")
+
+
+def _edited(text, edit):
+    doc = json.loads(text)
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _span_text():
+    return documents.emit_span(*loop_span())
+
+
+def _empty_net_text():
+    return documents.emit_net("absorber", absorber())
+
+
+MALFORMED = {
+    # a span or rule without one of its three nets
+    **{f"span-without-{key}": (
+        lambda key=key: _edited(_span_text(), lambda d: d.pop(key)), ["compose", "{doc}"])
+       for key in ("interface", "left", "right")},
+    **{f"rule-without-{key}": (
+        lambda key=key: _edited(_data("service_rule.json"), lambda d: d.pop(key)),
+        ["match", "{doc}", "service_host.json"])
+       for key in ("interface", "left", "right")},
+    # a top-level array where an object is expected, for every document kind
+    "net-array": (lambda: "[]", ["validate", "{doc}"]),
+    "span-array": (lambda: "[]", ["compose", "{doc}"]),
+    "rule-array": (lambda: "[]", ["check-rule", "{doc}"]),
+    "eta-array": (lambda: "[]", ["bisim", "chain3.json", "chain3_copy.json", "--eta", "{doc}"]),
+    "relation-array": (lambda: "[]",
+                       ["upto", "chain3.json", "chain3.json", "--relation", "{doc}"]),
+    "nested-net-array": (
+        lambda: _edited(_span_text(), lambda d: d.update(left=[])), ["compose", "{doc}"]),
+    # fields of the wrong JSON type
+    "place-fields-array": (
+        lambda: _edited(_data("chain3.json"), lambda d: d["places"].update(p0=["open_in"])),
+        ["validate", "{doc}"]),
+    "left-map-array": (
+        lambda: _edited(_span_text(), lambda d: d.update(left_map={"places": []})),
+        ["compose", "{doc}"]),
+    "behaviour-check-string": (
+        lambda: _edited(_data("service_rule.json"),
+                        lambda d: d.update(behaviour_check="Bisimilar")),
+        ["apply", "{doc}", "service_host.json"]),
+    # booleans are not counts
+    "bool-initial": (
+        lambda: _edited(_data("chain3.json"), lambda d: d["places"]["p0"].update(initial=True)),
+        ["validate", "{doc}"]),
+    "bool-pre": (
+        lambda: _edited(_data("chain3.json"),
+                        lambda d: d["transitions"]["t0"].update(pre={"p0": True})),
+        ["validate", "{doc}"]),
+    "bool-relation-count": (
+        lambda: json.dumps({"format": "opennet-relation/1", "pairs": [[{"p0": True}, {}]]}),
+        ["upto", "chain3.json", "chain3.json", "--relation", "{doc}"]),
+    # negative bounds
+    "lts-negative-cap": (_empty_net_text, ["lts", "{doc}", "--cap", "-1"]),
+    "lts-negative-max-step": (
+        _empty_net_text, ["lts", "{doc}", "--mode", "step", "--max-step", "-1"]),
+    "bisim-negative-cap": (_empty_net_text, ["bisim", "{doc}", "{doc}", "--cap", "-1"]),
+    "upto-negative-cap": (
+        lambda: json.dumps({"format": "opennet-relation/1", "pairs": []}),
+        ["upto", "chain3.json", "chain3.json", "--relation", "{doc}", "--cap", "-1"]),
+    "check-rule-negative-cap": (
+        lambda: _data("service_rule.json"), ["check-rule", "{doc}", "--cap", "-1"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_3_without_traceback(tmp_path, capsys, case):
+    make, args = MALFORMED[case]
+    doc = tmp_path / "doc.json"
+    doc.write_text(make(), encoding="utf-8")
+    argv = [str(doc) if a == "{doc}" else a for a in _argv(args)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")

@@ -46,6 +46,7 @@ from netlib import (
     random_composable_span,
     random_lts,
     random_net,
+    rename_net,
     silent_then_act,
 )
 
@@ -201,6 +202,34 @@ def test_upto_rejects_without_successor_pair():
     result = check_upto(absorber(), absorber(), ID_ETA, [(EMPTY, EMPTY)], cap=4)
     assert not result.accepted
     assert "+s" in result.reason
+
+
+def test_upto_accepts_under_a_renaming_eta():
+    renamed, _, _ = rename_net(absorber(), "_r")
+    eta = Correspondence(eta_in={"s": "s_r"}, eta_out={})
+    pairs = [(EMPTY, EMPTY), (Multiset({"s": 1}), Multiset({"s_r": 1}))]
+    assert check_upto(absorber(), renamed, eta, pairs, cap=4).accepted
+    swapped = [(u2, u1) for u1, u2 in pairs]
+    assert check_upto(renamed, absorber(), eta.inverse(), swapped, cap=4).accepted
+
+
+def test_upto_rejects_under_a_renaming_eta():
+    renamed, _, _ = rename_net(absorber(), "_r")
+    eta = Correspondence(eta_in={"s": "s_r"}, eta_out={})
+    result = check_upto(absorber(), renamed, eta, [(EMPTY, EMPTY)], cap=4)
+    assert not result.accepted
+    assert result.reason == (
+        "pair (0, 0): first-net move +s to s has no answer landing back in the relation"
+    )
+    # the second net's -s1p must be mirrored back through eta_out as -s1
+    pairs = [(Multiset({"s1": 1}), Multiset({"s1p": 1})),
+             (Multiset({"p": 1}), Multiset({"s1p": 1})), (EMPTY, EMPTY)]
+    result = check_upto(silent_then_act(), act_only(), ccs_eta(), pairs,
+                        tau_labels={"tau"}, cap=3)
+    assert not result.accepted
+    assert result.reason == (
+        "pair (p, s1p): second-net move -s1p to 0 has no answer landing back in the relation"
+    )
 
 
 def test_upto_empty_relation_vacuously_accepted():

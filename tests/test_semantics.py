@@ -5,7 +5,7 @@ import random
 import pytest
 
 from opennet import build_net, pushout
-from opennet.errors import IllegalEvent, InitialExceedsCap, NotEnabled
+from opennet.errors import IllegalEvent, InitialExceedsCap, InvalidBound, NotEnabled
 from opennet.multiset import EMPTY, Multiset
 from opennet.nets import Morphism
 from opennet.semantics import (
@@ -306,6 +306,13 @@ def test_build_lts_rejects_oversized_root():
     z = build_net(["s"], {}, initial={"s": 9})
     with pytest.raises(InitialExceedsCap):
         build_lts(z, FIRING, cap=2)
+
+
+@pytest.mark.parametrize("bounds", [{"cap": -1}, {"max_step": -1}])
+def test_build_lts_rejects_negative_bounds(bounds):
+    # the empty initial marking is within any cap, so only the bound check can refuse
+    with pytest.raises(InvalidBound):
+        build_lts(absorber(), STEP, **bounds)
 
 
 def test_build_lts_deterministic():
