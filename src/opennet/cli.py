@@ -91,13 +91,10 @@ def _emit_json(doc: dict, out: str | None):
 
 
 def cmd_validate(args) -> int:
-    name, z = documents.parse_net(_read(args.net))
-    report = nets.validate_net(z)
-    if report.ok:
-        print(f"net {name or args.net!r}: ok")
-        return EXIT_OK
-    print(report, file=sys.stderr)
-    return EXIT_NEGATIVE
+    # parse_net refuses every net that fails nets.validate_net, with exit 3
+    name, _ = documents.parse_net(_read(args.net))
+    print(f"net {name or args.net!r}: ok")
+    return EXIT_OK
 
 
 def cmd_compose(args) -> int:

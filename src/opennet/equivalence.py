@@ -425,23 +425,21 @@ def check_upto(z1: OpenNet, z2: OpenNet, eta: Correspondence, pairs,
                 raise PairExceedsCap(f"marking {u} in the relation exceeds the cap {cap}")
 
     touched = False
-    # one weak-closed transition system per distinct root marking, per net
+    # per distinct root marking, per net: whether its weak-closed transition
+    # system overflows, and the root's weak moves that stay within the cap
     cache = {}
 
     def responses(z, which, root, want_label):
         key = (which, root)
         if key not in cache:
             lts = _prepared_lts(z, "weak", FIRING, tau_labels, cap, DEFAULT_MAX_STEP, root=root)
-            cache[key] = lts
-        lts = cache[key]
+            moves = [(label, lts.states[dst]) for src, label, dst in lts.edges
+                     if src == lts.initial and lts.states[dst] is not OVERFLOW]
+            cache[key] = (lts.has_overflow(), moves)
+        overflows, moves = cache[key]
         nonlocal touched
-        if lts.has_overflow():
-            touched = True
-        out = []
-        for label, dst in lts.successors()[lts.initial]:
-            if label == want_label and lts.states[dst] is not OVERFLOW:
-                out.append(lts.states[dst])
-        return out
+        touched = touched or overflows
+        return [target for label, target in moves if label == want_label]
 
     inverse = eta.inverse()
     for u1, u2 in pair_list:

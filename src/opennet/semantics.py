@@ -2,11 +2,17 @@
 
 Besides its own transitions, an open net executes environment interactions:
 token creation on an input-open place and token deletion on an output-open
-place.  A step runs a whole multiset of such events at once; a firing is a
-singleton step.  This module enumerates steps, builds the capped labelled
-transition systems (firing or step variant), computes the weak closure with
-respect to a set of silent labels, and projects/amalgamates steps across
-embeddings and pushouts of open nets.
+place.  A step runs a whole multiset of such events at once; a firing is the
+step of exactly one event, so one step enumerator serves both modes.  This
+module enumerates steps, builds the capped labelled transition systems
+(firing or step variant), computes the weak closure with respect to a set of
+silent labels, and projects/amalgamates steps across embeddings and pushouts
+of open nets.
+
+Markings are `Multiset`s at the API.  Step enumeration and the LTS build
+lower the net once per call to integer place indices, markings to tuples of
+counts and events to (index, count) pairs, and lift the states back to
+`Multiset`s at the end.
 """
 
 from __future__ import annotations
@@ -158,53 +164,50 @@ def all_events(z: OpenNet) -> list:
     return sorted(events)
 
 
-def _within_cap(u: Multiset, cap: int) -> bool:
-    return all(count <= cap for _, count in u.items())
+def _lower(z: OpenNet, u: Multiset):
+    """Places in sorted order (u's included), events in `all_events` order,
+    each event's (place index, count) pre- and post-pairs, and u as a tuple
+    of counts."""
+    places = sorted(set(z.places) | u.support())
+    index = {s: i for i, s in enumerate(places)}
+    events = all_events(z)
+    pre = [tuple((index[s], n) for s, n in event_pre(z, e).items()) for e in events]
+    post = [tuple((index[s], n) for s, n in event_post(z, e).items()) for e in events]
+    return places, events, pre, post, tuple(u.count(s) for s in places)
 
 
-def _step_key(step: Step):
-    return (step.events.size(), tuple(step.events.elements()))
+def _lift(places, marking: tuple) -> Multiset:
+    return Multiset({s: n for s, n in zip(places, marking) if n})
 
 
-def _candidate_steps(z, u, mode, cap, max_step, keep_overflowing):
-    """Enumerate steps from u; optionally keep steps whose target breaks the cap."""
-    if mode == FIRING:
-        steps = []
-        for event in all_events(z):
-            if event_pre(z, event) <= u:
-                target = (u - event_pre(z, event)) + event_post(z, event)
-                if keep_overflowing or _within_cap(target, cap):
-                    steps.append(Step(events=Multiset.of(event), source=u, target=target))
-        return steps
+def _steps(pre, post, u: tuple, max_step: int) -> list:
+    """Every non-empty multiset of at most max_step events enabled at u.
 
-    generators = all_events(z)
+    Returns (event indices ascending, target marking) pairs in (size,
+    elements) order, wherever the target lands.  Every pre-set is drawn from
+    u itself, so a post-set never enables another event of the same step.
+    """
     found = []
 
-    def extend(index, chosen, remaining_pre):
-        if index == len(generators):
-            if chosen:
-                events = Multiset(dict(chosen))
-                target = (u - events_pre(z, events)) + events_post(z, events)
-                if keep_overflowing or _within_cap(target, cap):
-                    found.append(Step(events=events, source=u, target=target))
-            return
-        event = generators[index]
-        count = 0
-        pre = event_pre(z, event)
-        budget = max_step - sum(chosen.values())
-        while count <= budget:
-            if count:
-                chosen[event] = count
-            extend(index + 1, chosen, remaining_pre - pre.scale(count))
-            if count:
-                del chosen[event]
-            count += 1
-            if not pre.scale(count) <= remaining_pre or count > budget:
-                break
-        return
+    def extend(first, chosen, free, target):
+        # pre-order over ascending index sequences is lexicographic order
+        for e in range(first, len(pre)):
+            if all(free[i] >= n for i, n in pre[e]):
+                rest, after = list(free), list(target)
+                for i, n in pre[e]:
+                    rest[i] -= n
+                    after[i] -= n
+                for i, n in post[e]:
+                    after[i] += n
+                step = chosen + (e,)
+                found.append((step, tuple(after)))
+                if len(step) < max_step:
+                    extend(e, step, rest, after)
 
-    extend(0, {}, u)
-    return sorted(found, key=_step_key)
+    if max_step > 0:
+        extend(0, (), u, u)
+    found.sort(key=lambda step: len(step[0]))
+    return found
 
 
 def enabled_steps(z: OpenNet, u: Multiset, mode: str = FIRING,
@@ -215,8 +218,14 @@ def enabled_steps(z: OpenNet, u: Multiset, mode: str = FIRING,
     step mode lists every non-empty multiset of at most max_step events
     whose target stays within the per-place cap.
     """
-    keep = mode == FIRING
-    return _candidate_steps(z, u, mode, cap, max_step, keep_overflowing=keep)
+    places, events, pre, post, marking = _lower(z, u)
+    bound = 1 if mode == FIRING else max_step
+    return [
+        Step(events=Multiset(events[e] for e in chosen), source=u,
+             target=_lift(places, target))
+        for chosen, target in _steps(pre, post, marking, bound)
+        if mode == FIRING or max(target, default=0) <= cap
+    ]
 
 
 def project_event(f: Morphism, event: Event) -> Multiset:
@@ -426,119 +435,100 @@ def label_sort_key(label):
     return ("3other", repr(label))
 
 
-def _label_of(z: OpenNet, events: Multiset, mode: str):
-    if mode == FIRING:
-        (event,) = tuple(events.support())
-        return observe(z, event)
-    data = {}
-    for event, n in events.items():
-        obs = observe(z, event)
-        data[obs] = data.get(obs, 0) + n
-    return Multiset(data)
-
-
 def build_lts(z: OpenNet, mode: str = FIRING, cap: int = DEFAULT_CAP,
               max_step: int = DEFAULT_MAX_STEP, root: Multiset | None = None) -> Lts:
     """Breadth-first exploration of the capped marking space.
 
     Any step that would leave the cap region leads to the absorbing overflow
     state, which has no outgoing edges.  Exploration order is canonical, so
-    repeated runs yield identical state and edge lists.
+    repeated runs yield identical state and edge lists.  A firing is the
+    step of one event, so firing mode explores the steps of size 1.
     """
     if cap < 0 or max_step < 0:
         raise InvalidBound(f"the cap ({cap}) and the step bound ({max_step}) must be non-negative")
     start = z.initial if root is None else root
-    if not _within_cap(start, cap):
+    places, events, pre, post, first = _lower(z, start)
+    if max(first, default=0) > cap:
         raise InitialExceedsCap(f"marking {start} exceeds the per-place cap {cap}")
-    states = [start]
-    index = {start: 0}
+    bound = 1 if mode == FIRING else max_step
+    observed = [observe(z, e) for e in events]
+    labels = {}  # event indices -> label
+    states = [first]
+    index = {first: 0}
     edges = []
-    seen = set()
-    overflow_index = None
-    frontier = 0
-    while frontier < len(states):
-        u = states[frontier]
-        if u is not OVERFLOW:
-            for step in _candidate_steps(z, u, mode, cap, max_step, keep_overflowing=True):
-                label = _label_of(z, step.events, mode)
-                if _within_cap(step.target, cap):
-                    if step.target not in index:
-                        index[step.target] = len(states)
-                        states.append(step.target)
-                    edge = (frontier, label, index[step.target])
-                else:
-                    if overflow_index is None:
-                        overflow_index = len(states)
-                        states.append(OVERFLOW)
-                        index[OVERFLOW] = overflow_index
-                    edge = (frontier, label, overflow_index)
-                if edge not in seen:
-                    seen.add(edge)
-                    edges.append(edge)
-        frontier += 1
+    for src, u in enumerate(states):  # breadth first: states grows as it is walked
+        if u is OVERFLOW:
+            continue
+        seen = set()
+        for chosen, target in _steps(pre, post, u, bound):
+            label = labels.get(chosen)
+            if label is None:
+                label = (observed[chosen[0]] if mode == FIRING
+                         else Multiset(observed[e] for e in chosen))
+                labels[chosen] = label
+            if max(target, default=0) > cap:
+                target = OVERFLOW
+            dst = index.get(target)
+            if dst is None:
+                dst = index[target] = len(states)
+                states.append(target)
+            if (label, dst) not in seen:
+                seen.add((label, dst))
+                edges.append((src, label, dst))
+    states = [u if u is OVERFLOW else _lift(places, u) for u in states]
     return Lts(states=states, edges=edges, initial=0, mode=mode, cap=cap)
-
-
-def _is_silent(label, mode: str, tau_labels) -> bool:
-    if mode == FIRING:
-        return label.kind == "lab" and label.name in tau_labels
-    return all(obs.kind == "lab" and obs.name in tau_labels for obs, _ in label.items())
 
 
 def weak_closure(lts: Lts, tau_labels) -> Lts:
     """Saturate an Lts with weak transitions.
 
-    Silent edges are those whose label projects to nothing once the silent
-    transition labels are dropped; interactions at open places are never
-    silent.  The result has an edge labelled None for every silent path
-    (reflexively, except out of the overflow state) and an edge for every
-    silent*;visible;silent* path, where the visible step contains no
-    silent-labelled transition at all.
+    A label is silent when every observation in it is a silent transition
+    label, and visible when none is; interactions at open places are never
+    silent, and a step mixing silent and visible observations is neither.
+    For each state i other than the overflow state, the result has an edge
+    (i, silent, j) for every j reachable by silent edges (i itself included),
+    where silent is None in firing mode and the empty step in step mode, and
+    an edge (i, a, k) for every silent*;a;silent* path from i to k.
     """
     tau_labels = frozenset(tau_labels)
     n = len(lts.states)
-    silent_succ = [set() for _ in range(n)]
-    visible = []
+    silent_succ = [[] for _ in range(n)]
+    visible_succ = [[] for _ in range(n)]
+    kinds = {}  # label -> (silent, visible)
     for src, label, dst in lts.edges:
-        if _is_silent(label, lts.mode, tau_labels):
-            silent_succ[src].add(dst)
-        elif lts.mode == FIRING:
-            visible.append((src, label, dst))
-        else:
-            stripped = Multiset(
-                {obs: cnt for obs, cnt in label.items()
-                 if not (obs.kind == "lab" and obs.name in tau_labels)}
-            )
-            if stripped == label:
-                visible.append((src, label, dst))
+        if label not in kinds:
+            observed = (label,) if lts.mode == FIRING else label.support()
+            tau = [o.kind == "lab" and o.name in tau_labels for o in observed]
+            kinds[label] = (all(tau), not any(tau))
+        silent, visible = kinds[label]
+        if silent:
+            silent_succ[src].append(dst)
+        elif visible:
+            visible_succ[src].append((label, dst))
 
     closure = []
     for i in range(n):
-        reach = {i}
-        queue = [i]
+        reach, queue = {i}, [i]
         while queue:
-            x = queue.pop()
-            for y in silent_succ[x]:
+            for y in silent_succ[queue.pop()]:
                 if y not in reach:
                     reach.add(y)
                     queue.append(y)
         closure.append(reach)
 
     silent_label = None if lts.mode == FIRING else EMPTY
-    new_edges = set()
+    keys = {label: label_sort_key(label) for label in [silent_label, *kinds]}
+    edges = []
     for i in range(n):
         if lts.states[i] is OVERFLOW:
             continue
+        out = set()
         for j in closure[i]:
-            new_edges.add((i, silent_label, j))
-    for src, label, dst in visible:
-        starts = [i for i in range(n) if src in closure[i] and lts.states[i] is not OVERFLOW]
-        for i in starts:
-            for j in closure[dst]:
-                new_edges.add((i, label, j))
-
-    ordered = sorted(new_edges, key=lambda e: (e[0], label_sort_key(e[1]), e[2]))
-    return Lts(states=list(lts.states), edges=ordered, initial=lts.initial,
+            out.add((silent_label, j))
+            for label, d in visible_succ[j]:
+                out.update((label, k) for k in closure[d])
+        edges += [(i, label, k) for label, k in sorted(out, key=lambda e: (keys[e[0]], e[1]))]
+    return Lts(states=list(lts.states), edges=edges, initial=lts.initial,
                mode=lts.mode, cap=lts.cap)
 
 

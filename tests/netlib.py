@@ -617,3 +617,41 @@ def compared_ltss(z1, z2, eta, kind="strong", mode="firing", tau_labels=frozense
         return obs if table is None else Obs(obs.kind, table[obs.name])
 
     return relabel(prepared(z1), through_eta), prepared(z2)
+
+
+def naive_weak_closure(lts, tau_labels) -> set:
+    """The weak edges of an Lts as a set, straight from the definition.
+
+    A label is silent when every observation in it is a transition label in
+    `tau_labels` (the empty step included), and visible when none is; a step
+    mixing the two is neither.  τ* is the reflexive-transitive closure of
+    the silent edges, found by fixpoint iteration.  Every τ* pair (i, j)
+    gives (i, silent, j), and every τ*·a·τ* path gives (i, a, k), for each
+    state i other than the overflow state.
+    """
+    from opennet.semantics import FIRING, OVERFLOW
+
+    def observations(label):
+        return [label] if lts.mode == FIRING else list(label.support())
+
+    def silent_count(label):
+        return sum(o.kind == "lab" and o.name in tau_labels for o in observations(label))
+
+    silent = {(s, d) for s, label, d in lts.edges
+              if silent_count(label) == len(observations(label))}
+    visible = {(s, label, d) for s, label, d in lts.edges if silent_count(label) == 0}
+    star = {(i, i) for i in range(len(lts.states))} | silent
+    while True:
+        longer = star | {(a, d) for a, b in star for c, d in silent if b == c}
+        if longer == star:
+            break
+        star = longer
+    reach = {}
+    for a, b in star:
+        reach.setdefault(a, set()).add(b)
+    silent_label = None if lts.mode == FIRING else Multiset()
+    starts = [i for i in reach if lts.states[i] is not OVERFLOW]
+    weak = {(i, silent_label, j) for i in starts for j in reach[i]}
+    weak |= {(i, label, k) for i in starts for j in reach[i]
+             for s, label, d in visible if s == j for k in reach[d]}
+    return weak

@@ -62,6 +62,29 @@ def test_rewriting_report_and_exit_code(capsys, expected, exit_code, args):
     assert out == (DATA / expected).read_text(encoding="utf-8")
 
 
+LTS_CASES = [
+    ("lts_chain3_firing.out", ["chain3.json", "--cap", "2"]),
+    ("lts_chain3_step.out", ["chain3.json", "--mode", "step", "--cap", "1", "--max-step", "2"]),
+    ("lts_agency_step.out", ["agency_a.json", "--mode", "step", "--cap", "2"]),
+    ("lts_chain3_tau.out", ["chain3.json", "--cap", "2", "--tau", "a1"]),
+    ("lts_chain3_step_tau.out",
+     ["chain3.json", "--mode", "step", "--cap", "1", "--max-step", "2", "--tau", "a1"]),
+]
+
+
+@pytest.mark.parametrize("expected, args", LTS_CASES, ids=[c[0] for c in LTS_CASES])
+def test_lts_report(capsys, expected, args):
+    assert main(_argv(["lts"] + args)) == 0
+    assert capsys.readouterr().out == (DATA / expected).read_text(encoding="utf-8")
+
+
+def test_lts_dot_file_and_report(tmp_path, capsys):
+    dot = tmp_path / "chain3.dot"
+    assert main(_argv(["lts", "chain3.json", "--cap", "1", "--dot", str(dot)])) == 0
+    assert capsys.readouterr().out == (DATA / "lts_chain3_dot.out").read_text(encoding="utf-8")
+    assert dot.read_text(encoding="utf-8") == (DATA / "lts_chain3.dot").read_text(encoding="utf-8")
+
+
 def test_apply_at_an_improper_match_reports_the_violations(capsys):
     argv = _argv(["apply", "span105_rule.json", "span105_host.json", "--match", "0"])
     assert main(argv) == 3
@@ -127,6 +150,11 @@ MALFORMED = {
         lambda: _edited(_data("service_rule.json"),
                         lambda d: d.update(behaviour_check="Bisimilar")),
         ["apply", "{doc}", "service_host.json"]),
+    # a pre-set naming a place the net does not declare
+    "pre-undeclared-place": (
+        lambda: _edited(_data("chain3.json"),
+                        lambda d: d["transitions"]["t0"].update(pre={"p9": 1})),
+        ["validate", "{doc}"]),
     # booleans are not counts
     "bool-initial": (
         lambda: _edited(_data("chain3.json"), lambda d: d["places"]["p0"].update(initial=True)),
@@ -151,6 +179,10 @@ MALFORMED = {
 }
 
 
+# the diagnosis a case's stderr must contain, beyond the "error: " prefix
+DIAGNOSES = {"pre-undeclared-place": "not well-formed"}
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exits_3_without_traceback(tmp_path, capsys, case):
     make, args = MALFORMED[case]
@@ -161,3 +193,4 @@ def test_malformed_input_exits_3_without_traceback(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert DIAGNOSES.get(case, "") in captured.err

@@ -1,6 +1,14 @@
-"""Steps, their projections along embeddings, and the transition systems."""
+"""Steps, their projections along embeddings, and the transition systems.
 
+The transition systems of a seeded corpus of random nets are pinned in
+data/lts_corpus.json, recorded once and kept fixed; running this file as a
+script writes that file again.
+"""
+
+import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +23,7 @@ from opennet.semantics import (
     Obs,
     Step,
     StepSplit,
+    all_events,
     build_lts,
     compose_steps,
     decompose_step,
@@ -22,6 +31,8 @@ from opennet.semantics import (
     events_post,
     events_pre,
     fire,
+    format_label,
+    format_marking,
     is_valid_step,
     make_step,
     minus,
@@ -30,6 +41,7 @@ from opennet.semantics import (
     project_events,
     project_step,
     to_dot,
+    label_sort_key,
     trans,
     weak_closure,
 )
@@ -39,7 +51,10 @@ from netlib import (
     agency_a,
     all_markings,
     loop_span,
+    naive_weak_closure,
     random_composable_span,
+    random_marking,
+    random_net,
     silent_then_act,
     two_sided_span,
 )
@@ -390,3 +405,130 @@ def test_dot_export_shapes():
     dot = to_dot(lts)
     assert "doubleoctagon" in dot
     assert dot.startswith("digraph")
+
+
+# ------------------------------------------------------- step enumeration
+
+
+def oracle_steps(z, u, mode, cap, max_step):
+    """Every multiset of at most max_step events (one in firing mode) that
+    `fire` executes at u, in (size, elements) order; step mode keeps only
+    targets within the cap."""
+    bound = 1 if mode == FIRING else max_step
+    found = []
+    for size in range(1, bound + 1):
+        for combo in itertools.combinations_with_replacement(all_events(z), size):
+            events = Multiset(combo)
+            try:
+                target = fire(z, u, events)
+            except NotEnabled:
+                continue
+            if mode == FIRING or all(c <= cap for _, c in target.items()):
+                found.append(Step(events=events, source=u, target=target))
+    return found
+
+
+def test_enabled_steps_match_the_oracle_on_random_nets():
+    rng = random.Random(5)
+    steps = overflowing = 0
+    for _ in range(60):
+        z = random_net(rng)
+        for u in [z.initial] + [random_marking(rng, z.places, 3) for _ in range(3)]:
+            for mode, max_step in ((FIRING, 6), (STEP, 0), (STEP, 1), (STEP, 2), (STEP, 3)):
+                expected = oracle_steps(z, u, mode, 2, max_step)
+                assert enabled_steps(z, u, mode, cap=2, max_step=max_step) == expected
+                steps += len(expected)
+                overflowing += sum(any(c > 2 for _, c in st.target.items())
+                                   for st in expected)
+    assert steps >= 3000 and overflowing >= 300
+
+
+def test_post_set_never_enables_a_step_partner():
+    z = build_net(["p0", "p1", "p2"],
+                  {"t0": ("a", {"p0": 1}, {"p1": 1}), "t1": ("b", {"p1": 1}, {"p2": 1})},
+                  initial={"p0": 1})
+    steps = enabled_steps(z, z.initial, STEP, cap=2, max_step=3)
+    assert [st.events for st in steps] == [Multiset.of(trans("t0"))]
+
+
+def test_firing_lts_is_the_step_lts_with_one_event_steps():
+    rng = random.Random(8)
+    for _ in range(40):
+        z = random_net(rng)
+        firing = build_lts(z, FIRING, cap=2)
+        step = build_lts(z, STEP, cap=2, max_step=1)
+        assert firing.states == step.states
+        assert [(s, Multiset.of(label), d) for s, label, d in firing.edges] == step.edges
+
+
+# ----------------------------------------------------------- weak closure
+
+
+def tau_nets(rng, count):
+    """Random nets with at least one tau-labelled transition."""
+    nets = []
+    while len(nets) < count:
+        z = random_net(rng, max_trans=4)
+        if any(z.label(t) == "tau" for t in z.transitions):
+            nets.append(z)
+    return nets
+
+
+def test_weak_closure_matches_the_oracle():
+    mixed = 0
+    for z in tau_nets(random.Random(13), 40):
+        for mode, max_step in ((FIRING, 1), (STEP, 2), (STEP, 3)):
+            strong = build_lts(z, mode, cap=2, max_step=max_step)
+            weak = weak_closure(strong, {"tau"})
+            assert set(weak.edges) == naive_weak_closure(strong, {"tau"})
+            keys = [(s, label_sort_key(label), d) for s, label, d in weak.edges]
+            assert keys == sorted(set(keys))
+            if mode == STEP:
+                mixed += sum(len({o.name == "tau" for o in label.support()}) == 2
+                             for _, label, _ in strong.edges)
+    assert mixed >= 2000
+
+
+# ---------------------------------------------------------- pinned corpus
+
+CORPUS = Path(__file__).parent / "data" / "lts_corpus.json"
+CORPUS_SEEDS = range(60)
+CORPUS_BUILDS = {"firing": (FIRING, 1), "step2": (STEP, 2), "step3": (STEP, 3)}
+CORPUS_WEAK = ("firing", "step2")
+
+
+def _lts_entry(seed, name, lts):
+    return {
+        "seed": seed,
+        "lts": name,
+        "states": [format_marking(s) for s in lts.states],
+        "edges": [[s, format_label(label), d] for s, label, d in lts.edges],
+    }
+
+
+def corpus_entries():
+    """The capped transition systems (cap 2) of one random net per seed,
+    and the weak closures over `tau` of two of them."""
+    entries = []
+    for seed in CORPUS_SEEDS:
+        z = random_net(random.Random(seed))
+        for name, (mode, max_step) in CORPUS_BUILDS.items():
+            lts = build_lts(z, mode, cap=2, max_step=max_step)
+            entries.append(_lts_entry(seed, name, lts))
+            if name in CORPUS_WEAK:
+                entries.append(_lts_entry(seed, "weak-" + name, weak_closure(lts, {"tau"})))
+    return entries
+
+
+def test_lts_corpus_matches_recorded():
+    assert corpus_entries() == json.loads(CORPUS.read_text(encoding="utf-8"))
+
+
+def write_corpus(entries):
+    """One transition system per line, so a changed one shows as a changed line."""
+    lines = ",\n".join(json.dumps(entry, sort_keys=True) for entry in entries)
+    CORPUS.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    write_corpus(corpus_entries())
