@@ -3,13 +3,13 @@
 One verb per operation; diagnostics go to stderr, results to stdout (or a
 file), and exit codes mirror the verdicts so scripts can gate on them:
 bisimilarity checks exit 0 for Bisimilar, 1 for NotBisimilar and 2 for
-Inconclusive.
+Inconclusive; `upto` exits 0 for Accepted and 1 for Rejected.  Errors and
+malformed input exit 3, never a verdict's code.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -42,7 +42,8 @@ def _read(path: str) -> str:
         raise OpenNetError(f"cannot read {path}: {exc}")
 
 
-def _write_out(text: str, out: str | None):
+def _write_out(doc: dict, out: str | None):
+    text = documents.dumps(doc)
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
@@ -64,10 +65,7 @@ def _verdict_json(verdict) -> dict:
         "touched_overflow": verdict.touched_overflow,
     }
     if verdict.eta is not None:
-        doc["eta"] = {
-            "plus": dict(sorted(verdict.eta.eta_in.items())),
-            "minus": dict(sorted(verdict.eta.eta_out.items())),
-        }
+        doc["eta"] = documents.eta_to_json(verdict.eta)
     if verdict.witness is not None:
         doc["witness"] = [
             [format_marking(u1), format_marking(u2)] for u1, u2 in verdict.witness
@@ -86,10 +84,6 @@ def _verdict_json(verdict) -> dict:
     return doc
 
 
-def _emit_json(doc: dict, out: str | None):
-    _write_out(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
-
-
 def cmd_validate(args) -> int:
     # parse_net refuses every net that fails nets.validate_net, with exit 3
     name, _ = documents.parse_net(_read(args.net))
@@ -103,17 +97,11 @@ def cmd_compose(args) -> int:
     naming = glue_names(po)
     doc = {
         "net": documents.net_to_json(args.name, po.z3),
-        "left_leg": {
-            "places": dict(sorted(po.alpha1.place_map.items())),
-            "transitions": dict(sorted(po.alpha1.trans_map.items())),
-        },
-        "right_leg": {
-            "places": dict(sorted(po.alpha2.place_map.items())),
-            "transitions": dict(sorted(po.alpha2.trans_map.items())),
-        },
+        "left_leg": documents.morphism_to_json(po.alpha1),
+        "right_leg": documents.morphism_to_json(po.alpha2),
         "origins": {item: list(origin) for item, origin in sorted(naming.items())},
     }
-    _emit_json(doc, args.out)
+    _write_out(doc, args.out)
     return EXIT_OK
 
 
@@ -136,7 +124,7 @@ def cmd_lts(args) -> int:
         ],
         "overflow": lts.has_overflow(),
     }
-    _emit_json(doc, args.out)
+    _write_out(doc, args.out)
     return EXIT_OK
 
 
@@ -161,7 +149,7 @@ def cmd_bisim(args) -> int:
             z1, z2, eta, kind=args.kind, mode=args.mode, tau_labels=tau,
             cap=args.cap, max_step=args.max_step,
         )
-    _emit_json(_verdict_json(verdict), args.out)
+    _write_out(_verdict_json(verdict), args.out)
     return _VERDICT_EXITS[verdict.result]
 
 
@@ -176,9 +164,6 @@ def cmd_upto(args) -> int:
             eta_in={s: s for s in sorted(z1.open_in)},
             eta_out={s: s for s in sorted(z1.open_out)},
         )
-    report = nets.validate_correspondence(eta, z1, z2)
-    if not report.ok:
-        raise OpenNetError(f"not a correspondence:\n{report}")
     result = check_upto(z1, z2, eta, pairs, tau_labels=tau, cap=args.cap)
     doc = {
         "verdict": "Accepted" if result.accepted else "Rejected",
@@ -187,7 +172,7 @@ def cmd_upto(args) -> int:
     }
     if result.reason:
         doc["reason"] = result.reason
-    _emit_json(doc, args.out)
+    _write_out(doc, args.out)
     return EXIT_OK if result.accepted else EXIT_NEGATIVE
 
 
@@ -200,12 +185,11 @@ def cmd_match(args) -> int:
         report = rewriting.check_proper(rule, m)
         listing.append({
             "index": i,
-            "places": dict(sorted(m.place_map.items())),
-            "transitions": dict(sorted(m.trans_map.items())),
+            **documents.morphism_to_json(m),
             "proper": report.ok,
             "violations": [str(v) for v in report.violations],
         })
-    _emit_json({"matches": listing, "count": len(matches)}, args.out)
+    _write_out({"matches": listing, "count": len(matches)}, args.out)
     return EXIT_OK
 
 
@@ -228,16 +212,10 @@ def cmd_apply(args) -> int:
     doc = {
         "net": documents.net_to_json(args.name, result.result),
         "context": documents.net_to_json(args.name + "-context", result.context),
-        "right_embedding": {
-            "places": dict(sorted(result.right_embedding.place_map.items())),
-            "transitions": dict(sorted(result.right_embedding.trans_map.items())),
-        },
-        "context_to_result": {
-            "places": dict(sorted(result.context_to_result.place_map.items())),
-            "transitions": dict(sorted(result.context_to_result.trans_map.items())),
-        },
+        "right_embedding": documents.morphism_to_json(result.right_embedding),
+        "context_to_result": documents.morphism_to_json(result.context_to_result),
     }
-    _emit_json(doc, args.out)
+    _write_out(doc, args.out)
     return EXIT_OK
 
 
@@ -248,7 +226,7 @@ def cmd_check_rule(args) -> int:
         rule, kind=args.kind, mode=args.mode, tau_labels=tau,
         cap=args.cap, max_step=args.max_step,
     )
-    _emit_json(_verdict_json(verdict), args.out)
+    _write_out(_verdict_json(verdict), args.out)
     if args.save:
         meta = {
             "kind": verdict.kind,
@@ -260,10 +238,9 @@ def cmd_check_rule(args) -> int:
     return _VERDICT_EXITS[verdict.result]
 
 
-def _add_check_flags(parser, with_mode=True):
-    if with_mode:
-        parser.add_argument("--kind", choices=["strong", "weak"], default="strong")
-        parser.add_argument("--mode", choices=[FIRING, STEP], default=FIRING)
+def _add_check_flags(parser):
+    parser.add_argument("--kind", choices=["strong", "weak"], default="strong")
+    parser.add_argument("--mode", choices=[FIRING, STEP], default=FIRING)
     parser.add_argument("--cap", type=int, default=semantics.DEFAULT_CAP,
                         help="per-place bound on explored markings")
     parser.add_argument("--max-step", type=int, default=semantics.DEFAULT_MAX_STEP,

@@ -35,8 +35,22 @@ def _loads(text: str) -> dict:
     return doc
 
 
-def _dumps(obj) -> str:
+def dumps(obj) -> str:
+    """The canonical serialization of every document and report."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _expect_format(doc: dict, fmt: str) -> dict:
+    if doc.get("format") != fmt:
+        raise DocumentError(f"expected format {fmt!r}, got {doc.get('format')!r}")
+    return doc
+
+
+def _id_map(obj, message: str) -> dict:
+    """An object mapping ids to ids; JSON object keys are always strings."""
+    if not isinstance(obj, dict) or not all(isinstance(v, str) for v in obj.values()):
+        raise DocumentError(message)
+    return dict(obj)
 
 
 def _check_id(name, what):
@@ -69,8 +83,7 @@ def marking_to_json(marking: Multiset) -> dict:
 def net_from_json(doc: dict) -> tuple[str, OpenNet]:
     if not isinstance(doc, dict):
         raise DocumentError(f"a net must be a JSON object, got {type(doc).__name__}")
-    if doc.get("format") != NET_FORMAT:
-        raise DocumentError(f"expected format {NET_FORMAT!r}, got {doc.get('format')!r}")
+    _expect_format(doc, NET_FORMAT)
     name = doc.get("name", "")
     places_doc = doc.get("places", {})
     trans_doc = doc.get("transitions", {})
@@ -92,10 +105,12 @@ def net_from_json(doc: dict) -> tuple[str, OpenNet]:
         unknown = set(attrs) - {"open_in", "open_out", "initial"}
         if unknown:
             raise DocumentError(f"place {pid!r} has unknown fields {sorted(unknown)}")
-        if attrs.get("open_in", False):
-            open_in.add(pid)
-        if attrs.get("open_out", False):
-            open_out.add(pid)
+        for flag, opened in (("open_in", open_in), ("open_out", open_out)):
+            value = attrs.get(flag, False)
+            if not isinstance(value, bool):
+                raise DocumentError(f"{flag} of place {pid!r} must be true or false")
+            if value:
+                opened.add(pid)
         count = attrs.get("initial", 0)
         if not _is_count(count):
             raise DocumentError(f"initial count of place {pid!r} must be a non-negative integer")
@@ -165,18 +180,16 @@ def parse_net(text: str) -> tuple[str, OpenNet]:
 
 
 def emit_net(name: str, z: OpenNet) -> str:
-    return _dumps(net_to_json(name, z))
+    return dumps(net_to_json(name, z))
 
 
 def _morphism_from(doc: dict, source: OpenNet, target: OpenNet, what: str) -> Morphism:
     if not isinstance(doc, dict):
         raise DocumentError(f"{what} must be an object with 'places' and 'transitions'")
-    place_map = doc.get("places", {})
-    trans_map = doc.get("transitions", {})
-    if not isinstance(place_map, dict) or not isinstance(trans_map, dict):
-        raise DocumentError(f"{what} must map ids to ids under 'places' and 'transitions'")
-    f = Morphism(source=source, target=target, place_map=dict(place_map),
-                 trans_map=dict(trans_map))
+    message = f"{what} must map ids to ids under 'places' and 'transitions'"
+    f = Morphism(source=source, target=target,
+                 place_map=_id_map(doc.get("places", {}), message),
+                 trans_map=_id_map(doc.get("transitions", {}), message))
     report = nets.validate_morphism(f)
     if not report.ok:
         raise DocumentError(f"{what} is not a legal morphism:\n{report}")
@@ -185,7 +198,7 @@ def _morphism_from(doc: dict, source: OpenNet, target: OpenNet, what: str) -> Mo
     return f
 
 
-def _morphism_to(f: Morphism) -> dict:
+def morphism_to_json(f: Morphism) -> dict:
     return {
         "places": dict(sorted(f.place_map.items())),
         "transitions": dict(sorted(f.trans_map.items())),
@@ -207,28 +220,23 @@ def _legs_from(doc: dict) -> tuple[Morphism, Morphism]:
 
 def parse_span(text: str):
     """A span document: interface, left and right nets plus both leg maps."""
-    doc = _loads(text)
-    if doc.get("format") != SPAN_FORMAT:
-        raise DocumentError(f"expected format {SPAN_FORMAT!r}, got {doc.get('format')!r}")
-    return _legs_from(doc)
+    return _legs_from(_expect_format(_loads(text), SPAN_FORMAT))
 
 
 def emit_span(f1: Morphism, f2: Morphism, names=("interface", "left", "right")) -> str:
-    return _dumps({
+    return dumps({
         "format": SPAN_FORMAT,
         "interface": net_to_json(names[0], f1.source),
         "left": net_to_json(names[1], f1.target),
         "right": net_to_json(names[2], f2.target),
-        "left_map": _morphism_to(f1),
-        "right_map": _morphism_to(f2),
+        "left_map": morphism_to_json(f1),
+        "right_map": morphism_to_json(f2),
     })
 
 
 def parse_rule(text: str) -> tuple[Rule, dict]:
     """A rule document; returns the rule and any stored check metadata."""
-    doc = _loads(text)
-    if doc.get("format") != RULE_FORMAT:
-        raise DocumentError(f"expected format {RULE_FORMAT!r}, got {doc.get('format')!r}")
+    doc = _expect_format(_loads(text), RULE_FORMAT)
     left, right = _legs_from(doc)
     meta = doc.get("behaviour_check", {})
     if not isinstance(meta, dict):
@@ -243,37 +251,34 @@ def emit_rule(rule: Rule, meta: dict | None = None,
         "interface": net_to_json(names[0], rule.interface),
         "left": net_to_json(names[1], rule.lhs),
         "right": net_to_json(names[2], rule.rhs),
-        "left_map": _morphism_to(rule.left),
-        "right_map": _morphism_to(rule.right),
+        "left_map": morphism_to_json(rule.left),
+        "right_map": morphism_to_json(rule.right),
     }
     if meta:
         doc["behaviour_check"] = meta
-    return _dumps(doc)
+    return dumps(doc)
 
 
 def parse_eta(text: str) -> Correspondence:
-    doc = _loads(text)
-    if doc.get("format") != ETA_FORMAT:
-        raise DocumentError(f"expected format {ETA_FORMAT!r}, got {doc.get('format')!r}")
-    plus = doc.get("plus", {})
-    minus = doc.get("minus", {})
-    if not isinstance(plus, dict) or not isinstance(minus, dict):
-        raise DocumentError("'plus' and 'minus' must be objects mapping places to places")
-    return Correspondence(eta_in=dict(plus), eta_out=dict(minus))
+    doc = _expect_format(_loads(text), ETA_FORMAT)
+    message = "'plus' and 'minus' must be objects mapping places to places"
+    return Correspondence(eta_in=_id_map(doc.get("plus", {}), message),
+                          eta_out=_id_map(doc.get("minus", {}), message))
+
+
+def eta_to_json(eta: Correspondence) -> dict:
+    return {
+        "plus": dict(sorted(eta.eta_in.items())),
+        "minus": dict(sorted(eta.eta_out.items())),
+    }
 
 
 def emit_eta(eta: Correspondence) -> str:
-    return _dumps({
-        "format": ETA_FORMAT,
-        "plus": dict(sorted(eta.eta_in.items())),
-        "minus": dict(sorted(eta.eta_out.items())),
-    })
+    return dumps({"format": ETA_FORMAT, **eta_to_json(eta)})
 
 
 def parse_relation(text: str) -> list:
-    doc = _loads(text)
-    if doc.get("format") != RELATION_FORMAT:
-        raise DocumentError(f"expected format {RELATION_FORMAT!r}, got {doc.get('format')!r}")
+    doc = _expect_format(_loads(text), RELATION_FORMAT)
     pairs = doc.get("pairs", [])
     if not isinstance(pairs, list):
         raise DocumentError("'pairs' must be a list of two-element marking lists")
@@ -287,7 +292,7 @@ def parse_relation(text: str) -> list:
 
 
 def emit_relation(pairs) -> str:
-    return _dumps({
+    return dumps({
         "format": RELATION_FORMAT,
         "pairs": [
             [marking_to_json(u1), marking_to_json(u2)]

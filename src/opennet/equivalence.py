@@ -280,6 +280,12 @@ def _prepared_lts(z: OpenNet, kind, mode, tau_labels, cap, max_step, root=None) 
     return lts
 
 
+def _check_correspondence(eta: Correspondence, z1: OpenNet, z2: OpenNet):
+    report = validate_correspondence(eta, z1, z2)
+    if not report.ok:
+        raise NotACorrespondence(str(report))
+
+
 def check_bisim(z1: OpenNet, z2: OpenNet, eta: Correspondence,
                 kind: str = "strong", mode: str = FIRING,
                 tau_labels=frozenset(), cap: int = DEFAULT_CAP,
@@ -289,9 +295,7 @@ def check_bisim(z1: OpenNet, z2: OpenNet, eta: Correspondence,
     The correspondence aligns the interaction observations of the first net
     with those of the second; transition labels are compared as they are.
     """
-    report = validate_correspondence(eta, z1, z2)
-    if not report.ok:
-        raise NotACorrespondence(str(report))
+    _check_correspondence(eta, z1, z2)
     lts1 = relabel(
         _prepared_lts(z1, kind, mode, tau_labels, cap, max_step), _eta_obs(eta)
     )
@@ -410,6 +414,7 @@ def check_upto(z1: OpenNet, z2: OpenNet, eta: Correspondence, pairs,
     The technique is specific to firing behaviour: a parallel step can
     consume arbitrarily many tokens, so no out-degree bound exists.
     """
+    _check_correspondence(eta, z1, z2)
     if cap < 0:
         raise InvalidBound(f"the cap ({cap}) must be non-negative")
     if mode != FIRING:

@@ -91,10 +91,5 @@ class ConditionsViolated(OpenNetError):
         self.report = report
 
 
-class NotComposableRight(OpenNetError):
-    """The derived context morphism is not composable with the right leg.
-    Cannot happen for proper matches; raised defensively."""
-
-
 class DocumentError(OpenNetError):
     """Malformed input document (syntax or schema)."""

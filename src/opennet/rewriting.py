@@ -20,7 +20,6 @@ from .equivalence import BisimVerdict, check_bisim
 from .errors import (
     ConditionsViolated,
     EtaUndefined,
-    NotComposableRight,
     NotEmbedding,
     NotProper,
     SourceMismatch,
@@ -368,11 +367,6 @@ def apply_rule(rule: Rule, m: Morphism) -> TransformResult:
     if not report.ok:
         raise NotProper(str(report), report=report)
     context, to_context, embed = _complement(rule, m)
-    if not check_composable(to_context, rule.right):
-        raise NotComposableRight(
-            "context and right leg are not composable; the properness check "
-            "should have prevented this"
-        )
     right_square = pushout(to_context, rule.right)
     left_square = PushoutResult(
         z3=m.target, alpha1=embed, alpha2=m, f1=to_context, f2=rule.left

@@ -13,6 +13,7 @@ import pytest
 
 from opennet import documents
 from opennet.cli import main
+from opennet.multiset import Multiset
 
 from netlib import absorber, loop_span
 
@@ -85,6 +86,44 @@ def test_lts_dot_file_and_report(tmp_path, capsys):
     assert dot.read_text(encoding="utf-8") == (DATA / "lts_chain3.dot").read_text(encoding="utf-8")
 
 
+# documents built from the net library, written to files named by these keys
+GENERATED = {
+    "{loop_span}": lambda: documents.emit_span(*loop_span()),
+    "{absorber}": lambda: documents.emit_net("absorber", absorber()),
+    "{absorber_relation}": lambda: documents.emit_relation(
+        [(Multiset(), Multiset()), (Multiset({"s": 1}), Multiset({"s": 1}))]),
+    "{empty_relation}": lambda: documents.emit_relation([(Multiset(), Multiset())]),
+}
+
+GENERATED_CASES = [
+    ("compose_loop_span.out", 0, ["compose", "{loop_span}"]),
+    ("validate_chain3.out", 0, ["validate", "chain3.json"]),
+    ("upto_absorber_accepted.out", 0,
+     ["upto", "{absorber}", "{absorber}", "--relation", "{absorber_relation}", "--cap", "4"]),
+    ("upto_absorber_rejected.out", 1,
+     ["upto", "{absorber}", "{absorber}", "--relation", "{empty_relation}", "--cap", "4"]),
+]
+
+
+def _materialised(args, tmp_path, docs):
+    """_argv(args) with each key of docs replaced by a file holding its text."""
+    argv = []
+    for a in _argv(args):
+        if a in docs:
+            path = tmp_path / (a.strip("{}") + ".json")
+            path.write_text(docs[a](), encoding="utf-8")
+            a = str(path)
+        argv.append(a)
+    return argv
+
+
+@pytest.mark.parametrize("expected, exit_code, args", GENERATED_CASES,
+                         ids=[c[0] for c in GENERATED_CASES])
+def test_report_on_generated_documents(tmp_path, capsys, expected, exit_code, args):
+    assert main(_materialised(args, tmp_path, GENERATED)) == exit_code
+    assert capsys.readouterr().out == (DATA / expected).read_text(encoding="utf-8")
+
+
 def test_apply_at_an_improper_match_reports_the_violations(capsys):
     argv = _argv(["apply", "span105_rule.json", "span105_host.json", "--match", "0"])
     assert main(argv) == 3
@@ -113,12 +152,8 @@ def _edited(text, edit):
     return json.dumps(doc)
 
 
-def _span_text():
-    return documents.emit_span(*loop_span())
-
-
-def _empty_net_text():
-    return documents.emit_net("absorber", absorber())
+_span_text = GENERATED["{loop_span}"]
+_empty_net_text = GENERATED["{absorber}"]
 
 
 MALFORMED = {
@@ -166,6 +201,21 @@ MALFORMED = {
     "bool-relation-count": (
         lambda: json.dumps({"format": "opennet-relation/1", "pairs": [[{"p0": True}, {}]]}),
         ["upto", "chain3.json", "chain3.json", "--relation", "{doc}"]),
+    # open flags must be booleans, not merely truthy
+    "open-in-string": (
+        lambda: _edited(_data("chain3.json"), lambda d: d["places"]["p1"].update(open_in="no")),
+        ["validate", "{doc}"]),
+    # eta and morphism entries must name places and transitions
+    "left-map-list-value": (
+        lambda: _edited(_span_text(), lambda d: d["left_map"]["places"].update(s=["s"])),
+        ["compose", "{doc}"]),
+    "eta-list-value": (
+        lambda: _edited(_data("chain3.eta.json"), lambda d: d["plus"].update(p0=["q0"])),
+        ["bisim", "chain3.json", "chain3_copy.json", "--eta", "{doc}", "--cap", "1"]),
+    "upto-eta-not-bijective": (
+        lambda: json.dumps({"format": "opennet-eta/1", "plus": {}, "minus": {}}),
+        ["upto", "chain3.json", "chain3.json", "--relation", "{empty_relation}",
+         "--eta", "{doc}", "--cap", "2"]),
     # negative bounds
     "lts-negative-cap": (_empty_net_text, ["lts", "{doc}", "--cap", "-1"]),
     "lts-negative-max-step": (
@@ -180,16 +230,14 @@ MALFORMED = {
 
 
 # the diagnosis a case's stderr must contain, beyond the "error: " prefix
-DIAGNOSES = {"pre-undeclared-place": "not well-formed"}
+DIAGNOSES = {"pre-undeclared-place": "not well-formed",
+             "upto-eta-not-bijective": "NotBijective"}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exits_3_without_traceback(tmp_path, capsys, case):
     make, args = MALFORMED[case]
-    doc = tmp_path / "doc.json"
-    doc.write_text(make(), encoding="utf-8")
-    argv = [str(doc) if a == "{doc}" else a for a in _argv(args)]
-    assert main(argv) == 3
+    assert main(_materialised(args, tmp_path, {**GENERATED, "{doc}": make})) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")

@@ -191,6 +191,13 @@ def test_upto_accepts_absorber_relation():
     assert result.accepted
 
 
+def test_upto_rejects_a_non_bijective_eta():
+    z = chain(3)
+    pair = (Multiset({"p0": 1}), Multiset({"p0": 1}))
+    with pytest.raises(NotACorrespondence):
+        check_upto(z, z, EMPTY_ETA, [pair], cap=2)
+
+
 def test_upto_direct_check_agrees():
     verdict = check_bisim(absorber(), absorber(), ID_ETA,
                           kind="weak", mode=FIRING, cap=4)
