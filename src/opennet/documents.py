@@ -85,6 +85,8 @@ def net_from_json(doc: dict) -> tuple[str, OpenNet]:
         raise DocumentError(f"a net must be a JSON object, got {type(doc).__name__}")
     _expect_format(doc, NET_FORMAT)
     name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise DocumentError(f"a net's name must be a string, got {name!r}")
     places_doc = doc.get("places", {})
     trans_doc = doc.get("transitions", {})
     if not isinstance(places_doc, dict) or not isinstance(trans_doc, dict):
@@ -96,8 +98,6 @@ def net_from_json(doc: dict) -> tuple[str, OpenNet]:
     initial = {}
     for pid, attrs in places_doc.items():
         _check_id(pid, "place")
-        if pid in places:
-            raise DocumentError(f"duplicate place id {pid!r}")
         places.add(pid)
         attrs = attrs or {}
         if not isinstance(attrs, dict):
@@ -120,10 +120,6 @@ def net_from_json(doc: dict) -> tuple[str, OpenNet]:
     transitions = {}
     for tid, attrs in trans_doc.items():
         _check_id(tid, "transition")
-        if tid in places:
-            raise DocumentError(f"id {tid!r} is declared both as a place and a transition")
-        if tid in transitions:
-            raise DocumentError(f"duplicate transition id {tid!r}")
         attrs = attrs or {}
         if not isinstance(attrs, dict):
             raise DocumentError(f"transition {tid!r} must map to an object of fields")

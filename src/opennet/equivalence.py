@@ -130,8 +130,8 @@ def partition_refinement(lts_states: int, successors, rounds: list | None = None
     """Coarsest bisimulation partition of a finite labelled graph.
 
     `successors[i]` lists (label, target) pairs; labels need only be
-    hashable and orderable through label_sort_key.  Returns a block id per
-    state; equal ids mean bisimilar states.
+    hashable, as they are only compared for equality.  Returns a block id
+    per state; equal ids mean bisimilar states, and ids mean nothing else.
 
     Naive refinement (Kanellakis & Smolka): round k splits each block by the
     set of (label, round k-1 block) pairs its states can reach, so two
@@ -140,21 +140,19 @@ def partition_refinement(lts_states: int, successors, rounds: list | None = None
     list of every round that changed the partition is appended to it, round
     1 first, so its last entry (if any) is the returned partition.
     """
-    # each distinct label's key is computed once and shared by all its edges;
-    # keys and targets are kept per state as two flat tuples
-    distinct = {lbl for out in successors for lbl, _ in out}
-    keys = {lbl: label_sort_key(lbl) for lbl in distinct}
-    labels = [tuple(keys[lbl] for lbl, _ in out) for out in successors]
+    # label ids and targets per state as two flat tuples: a list of
+    # (id, target) pairs per state would raise the peak memory
+    ids = {}
+    labels = [tuple(ids.setdefault(lbl, len(ids)) for lbl, _ in out) for out in successors]
     targets = [tuple(dst for _, dst in out) for out in successors]
     blocks = [0] * lts_states
     while True:
-        signatures = []
-        for i in range(lts_states):
-            sig = frozenset(zip(labels[i], [blocks[dst] for dst in targets[i]]))
-            signatures.append((blocks[i], tuple(sorted(sig))))
-        order = sorted(set(signatures))
-        renumber = {sig: k for k, sig in enumerate(order)}
-        new_blocks = [renumber[signatures[i]] for i in range(lts_states)]
+        # blocks are numbered in order of first sight, so a partition that
+        # did not change keeps its ids
+        numbering, new_blocks = {}, []
+        for own, lbls, dsts in zip(blocks, labels, targets):
+            sig = (own, frozenset(zip(lbls, [blocks[dst] for dst in dsts])))
+            new_blocks.append(numbering.setdefault(sig, len(numbering)))
         if new_blocks == blocks:
             return blocks
         if rounds is not None:
@@ -425,7 +423,9 @@ def check_upto(z1: OpenNet, z2: OpenNet, eta: Correspondence, pairs,
     pair_list = sorted(pairs, key=lambda p: (str(p[0]), str(p[1])))
     relation = set(pair_list)
     for pair in pair_list:
-        for u in pair:
+        for z, u in zip((z1, z2), pair):
+            if not u.support() <= z.places:
+                raise UnknownPlace(f"marking {u} in the relation names an undeclared place")
             if not all(c <= cap for _, c in u.items()):
                 raise PairExceedsCap(f"marking {u} in the relation exceeds the cap {cap}")
 

@@ -424,7 +424,11 @@ class Lts:
 
 
 def label_sort_key(label):
-    """A total order on every label shape an Lts can carry."""
+    """A total order on every label shape an Lts can carry.
+
+    Used only where an order is part of the output: the edge order of
+    weak_closure and the canonical challenge of a distinguishing play.
+    """
     if label is None:
         return ("0silent",)
     if isinstance(label, Obs):

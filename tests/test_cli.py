@@ -26,6 +26,11 @@ CASES = [
      ["agency_a.json", "agency_b.json", "--mode", "step", "--cap", "2"]),
     ("bisim_chain3_vs_copy.out", 0,
      ["chain3.json", "chain3_copy.json", "--cap", "3"]),
+    ("bisim_chain3_vs_copy_weak.out", 0,
+     ["chain3.json", "chain3_copy.json", "--kind", "weak", "--tau", "a1", "--cap", "3"]),
+    ("bisim_chain3_vs_x_weak.out", 1,
+     ["chain3.json", "chain3_x.json", "--eta", "chain3.eta.json",
+      "--kind", "weak", "--tau", "a1", "--cap", "3"]),
 ]
 
 
@@ -190,6 +195,22 @@ MALFORMED = {
         lambda: _edited(_data("chain3.json"),
                         lambda d: d["transitions"]["t0"].update(pre={"p9": 1})),
         ["validate", "{doc}"]),
+    # an id naming both a place and a transition
+    "place-transition-clash": (
+        lambda: _edited(_data("chain3.json"),
+                        lambda d: d["transitions"].update(p1=d["transitions"].pop("t1"))),
+        ["validate", "{doc}"]),
+    # a net's name must be a string
+    "name-list": (
+        lambda: _edited(_data("chain3.json"), lambda d: d.update(name=[1, 2])),
+        ["validate", "{doc}"]),
+    "name-number": (
+        lambda: _edited(_data("chain3.json"), lambda d: d.update(name=7)),
+        ["lts", "{doc}", "--cap", "1"]),
+    # a relation marking on a place the net does not declare
+    "upto-undeclared-place": (
+        lambda: json.dumps({"format": "opennet-relation/1", "pairs": [[{"zz": 1}, {"p0": 1}]]}),
+        ["upto", "chain3.json", "chain3.json", "--relation", "{doc}"]),
     # booleans are not counts
     "bool-initial": (
         lambda: _edited(_data("chain3.json"), lambda d: d["places"]["p0"].update(initial=True)),
@@ -231,7 +252,11 @@ MALFORMED = {
 
 # the diagnosis a case's stderr must contain, beyond the "error: " prefix
 DIAGNOSES = {"pre-undeclared-place": "not well-formed",
-             "upto-eta-not-bijective": "NotBijective"}
+             "upto-eta-not-bijective": "NotBijective",
+             "place-transition-clash": "declared both as a place",
+             "name-list": "name must be a string",
+             "name-number": "name must be a string",
+             "upto-undeclared-place": "zz"}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))

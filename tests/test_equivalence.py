@@ -28,7 +28,7 @@ from opennet.errors import (
 )
 from opennet.multiset import EMPTY, Multiset
 from opennet.nets import Correspondence, Morphism, close_place
-from opennet.semantics import FIRING, STEP, Obs
+from opennet.semantics import FIRING, STEP, Obs, build_lts, weak_closure
 
 from netlib import (
     absorber,
@@ -255,6 +255,15 @@ def test_upto_pair_exceeding_cap():
                    [(Multiset({"s": 9}), Multiset({"s": 9}))], cap=4)
 
 
+def test_upto_refuses_a_pair_on_undeclared_places():
+    z = chain(3)
+    for pair in [(Multiset({"zz": 1}), Multiset({"p0": 1})),
+                 (Multiset({"p0": 1}), Multiset({"p0": 1, "zz": 1}))]:
+        with pytest.raises(UnknownPlace, match="zz"):
+            check_upto(z, z, Correspondence(eta_in={"p0": "p0"}, eta_out={"p2": "p2"}),
+                       [pair], cap=2)
+
+
 def test_upto_enlarged_relation_stays_accepted():
     # pumping any pair with one token on the open place preserves acceptance
     base = [(EMPTY, EMPTY), (Multiset({"s": 1}), Multiset({"s": 1}))]
@@ -280,16 +289,49 @@ def _successors_of(lts):
     return lts.successors()
 
 
+def _corpus_systems():
+    """The firing, step (max_step 2) and weak-closed systems of the nets
+    behind data/lts_corpus.json, with their real labels: `Obs`, step
+    multisets, and the silent labels None and EMPTY."""
+    for seed in range(60):
+        z = random_net(random.Random(seed))
+        for mode, max_step in ((FIRING, 1), (STEP, 2)):
+            lts = build_lts(z, mode, cap=2, max_step=max_step)
+            yield lts
+            yield weak_closure(lts, {"tau"})
+
+
 def test_partition_refinement_matches_naive_oracle():
     rng = random.Random(2024)
-    for _ in range(100):
-        lts = random_lts(rng, max_states=30, max_labels=5)
+    systems = [random_lts(rng, max_states=30, max_labels=5) for _ in range(100)]
+    shapes = set()
+    for lts in systems + list(_corpus_systems()):
         succ = _successors_of(lts)
         blocks = partition_refinement(len(lts.states), succ)
         related = naive_bisimulation(len(lts.states), succ)
         for i in range(len(lts.states)):
             for j in range(len(lts.states)):
                 assert (blocks[i] == blocks[j]) == ((i, j) in related)
+        shapes |= {"EMPTY" if label == EMPTY else type(label).__name__
+                   for _, label, _ in lts.edges}
+    assert shapes == {"str", "Obs", "Multiset", "NoneType", "EMPTY"}
+
+
+def test_refinement_rounds_match_naive_depths_within_one_system():
+    rounds_seen = 0
+    for lts in _corpus_systems():
+        n, succ = len(lts.states), lts.successors()
+        rounds = []
+        partition_refinement(n, succ, rounds)
+        depths = naive_separation_depths(n, succ, n, succ)
+        # the refinement stops at the first round that changes nothing
+        assert len(rounds) == max(depths.values(), default=0)
+        for k, blocks in enumerate(rounds, start=1):
+            for i in range(n):
+                for j in range(n):
+                    assert (blocks[i] == blocks[j]) == (depths.get((i, j), k + 1) > k)
+        rounds_seen += len(rounds)
+    assert rounds_seen >= 300
 
 
 def _random_lts_pairs(count=240):
