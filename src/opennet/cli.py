@@ -38,7 +38,7 @@ _VERDICT_EXITS = {BISIMILAR: EXIT_OK, NOT_BISIMILAR: EXIT_NEGATIVE,
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise OpenNetError(f"cannot read {path}: {exc}")
 
 
@@ -119,9 +119,7 @@ def cmd_lts(args) -> int:
         "cap": lts.cap,
         "states": [format_marking(s) for s in lts.states],
         "initial": lts.initial,
-        "edges": [
-            [src, format_label(label), dst] for src, label, dst in lts.edges
-        ],
+        "edges": [[src, format_label(label), dst] for src, label, dst in lts.labelled_edges()],
         "overflow": lts.has_overflow(),
     }
     _write_out(doc, args.out)

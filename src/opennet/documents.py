@@ -30,6 +30,8 @@ def _loads(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except (RecursionError, ValueError) as exc:  # nesting too deep, a number too long
+        raise DocumentError(f"unreadable JSON: {exc}")
     if not isinstance(doc, dict):
         raise DocumentError(f"a document must be a JSON object, got {type(doc).__name__}")
     return doc
@@ -99,7 +101,7 @@ def net_from_json(doc: dict) -> tuple[str, OpenNet]:
     for pid, attrs in places_doc.items():
         _check_id(pid, "place")
         places.add(pid)
-        attrs = attrs or {}
+        attrs = {} if attrs is None else attrs
         if not isinstance(attrs, dict):
             raise DocumentError(f"place {pid!r} must map to an object of fields")
         unknown = set(attrs) - {"open_in", "open_out", "initial"}
@@ -120,7 +122,7 @@ def net_from_json(doc: dict) -> tuple[str, OpenNet]:
     transitions = {}
     for tid, attrs in trans_doc.items():
         _check_id(tid, "transition")
-        attrs = attrs or {}
+        attrs = {} if attrs is None else attrs
         if not isinstance(attrs, dict):
             raise DocumentError(f"transition {tid!r} must map to an object of fields")
         unknown = set(attrs) - {"label", "pre", "post"}

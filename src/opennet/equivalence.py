@@ -140,10 +140,9 @@ def partition_refinement(lts_states: int, successors, rounds: list | None = None
     list of every round that changed the partition is appended to it, round
     1 first, so its last entry (if any) is the returned partition.
     """
-    # label ids and targets per state as two flat tuples: a list of
-    # (id, target) pairs per state would raise the peak memory
-    ids = {}
-    labels = [tuple(ids.setdefault(lbl, len(ids)) for lbl, _ in out) for out in successors]
+    # labels and targets per state as two flat tuples: a list of
+    # (label, target) pairs per state would raise the peak memory
+    labels = [tuple(lbl for lbl, _ in out) for out in successors]
     targets = [tuple(dst for _, dst in out) for out in successors]
     blocks = [0] * lts_states
     while True:
@@ -164,100 +163,92 @@ def _refine_union(lts1: Lts, lts2: Lts):
     """Refine the disjoint union of two transition systems.
 
     State j of `lts2` is state n1 + j of the union, n1 being the number of
-    states of `lts1`.  Returns the final block list and depth(i, j) for
-    state i of `lts1` and j of `lts2`: the first round whose partition
-    separates the two, so the challenger wins from (i, j) in that many
-    moves and no fewer; 0 means bisimilar.  Partitions are nested, so the
-    rounds that separate a pair form a suffix and a binary search finds it.
+    states of `lts1`, and the two label tables are merged by value into
+    one.  Returns the union's label table, its successor lists of (union
+    label index, union state) pairs, the final block list, and depth(x, y)
+    for union states x and y: the first round whose partition separates
+    the two, so the challenger wins from (x, y) in that many moves and no
+    fewer; 0 means bisimilar.  Partitions are nested, so the rounds that
+    separate a pair form a suffix and a binary search finds it.
     """
+    table = {}
     n1 = len(lts1.states)
-    successors = lts1.successors() + [
-        [(label, n1 + dst) for label, dst in out] for out in lts2.successors()
-    ]
+    successors = [[] for _ in range(n1 + len(lts2.states))]
+    for offset, lts in ((0, lts1), (n1, lts2)):
+        ids = [table.setdefault(label, len(table)) for label in lts.labels]
+        for src, label, dst in lts.edges:
+            successors[offset + src].append((ids[label], offset + dst))
     rounds = []
     blocks = partition_refinement(len(successors), successors, rounds)
 
-    def depth(i: int, j: int) -> int:
-        j += n1
-        if not rounds or rounds[-1][i] == rounds[-1][j]:
+    def depth(x: int, y: int) -> int:
+        if not rounds or rounds[-1][x] == rounds[-1][y]:
             return 0
         lo, hi = 0, len(rounds) - 1
         while lo < hi:
             mid = (lo + hi) // 2
-            if rounds[mid][i] == rounds[mid][j]:
+            if rounds[mid][x] == rounds[mid][y]:
                 lo = mid + 1
             else:
                 hi = mid
         return lo + 1
 
-    return blocks, depth
+    return list(table), successors, blocks, depth
 
 
-def _extract_play(lts1: Lts, lts2: Lts, depth):
+def _extract_play(lts1: Lts, lts2: Lts, labels, successors, depth):
     """A shortest alternating challenge/response trace for the initial pair.
 
-    At a pair of depth d the challenger picks a move all of whose answers
-    land in pairs of depth below d.  Since the pair is (d-1)-step
-    bisimilar, one answer reaches a (d-2)-step bisimilar pair, of depth
-    exactly d-1, and the responder takes its deepest answer; at depth 1
-    there is no answer at all.  So every move lowers the depth by one, and
-    the play is exactly as long as the depth of the initial pair.
+    `labels`, `successors` and `depth` are those `_refine_union` returns,
+    so the play walks union states and union label indices.  At a pair of
+    depth d the challenger picks a move all of whose answers land in pairs
+    of depth below d.  Since the pair is (d-1)-step bisimilar, one answer
+    reaches a (d-2)-step bisimilar pair, of depth exactly d-1, and the
+    responder takes its deepest answer; at depth 1 there is no answer at
+    all.  So every move lowers the depth by one, and the play is exactly as
+    long as the depth of the initial pair.
     """
-    succ1 = lts1.successors()
-    succ2 = lts2.successors()
+    states = lts1.states + lts2.states
+    keys = [label_sort_key(label) for label in labels]
     play = []
-    i, j = lts1.initial, lts2.initial
-    while depth(i, j):
-        move, next_pair = _best_challenge(lts1, lts2, succ1, succ2, i, j, depth)
+    pair = (lts1.initial, len(lts1.states) + lts2.initial)
+    while pair is not None and depth(*pair):
+        x, y = pair
+        move, pair = _best_challenge(states, labels, keys, successors, x, y, depth)
         play.append(move)
-        if next_pair is None:
-            break
-        i, j = next_pair
     return play
 
 
-def _best_challenge(lts1, lts2, succ1, succ2, i, j, depth):
-    """The canonical winning challenge at a separated pair.
+def _best_challenge(states, labels, keys, successors, x, y, depth):
+    """The canonical winning challenge at a separated pair of union states.
 
     A challenge wins iff every response lands in a pair separated strictly
     earlier; the responder then answers with its most resistant option.
     Returns the move and the pair it leads to (None when the responder is
     stuck).
     """
-    here = depth(i, j)
+    here = depth(x, y)
     candidates = []
-    for side, a, succ_a, b, succ_b in ((1, i, succ1, j, succ2), (2, j, succ2, i, succ1)):
-        for label, a2 in succ_a[a]:
-            responses = sorted(b2 for lbl, b2 in succ_b[b] if lbl == label)
-            if side == 1:
-                rdepths = [depth(a2, b2) for b2 in responses]
-            else:
-                rdepths = [depth(b2, a2) for b2 in responses]
+    for side, a, b in ((1, x, y), (2, y, x)):
+        for label, a2 in successors[a]:
+            responses = sorted(b2 for lbl, b2 in successors[b] if lbl == label)
+            rdepths = [depth(a2, b2) for b2 in responses]
             if all(0 < d < here for d in rdepths):
                 candidates.append((side, label, a2, responses, rdepths))
     # canonical: side, then label order, then target state index
-    candidates.sort(key=lambda c: (c[0], label_sort_key(c[1]), c[2]))
+    candidates.sort(key=lambda c: (c[0], keys[c[1]], c[2]))
     side, label, a2, responses, rdepths = candidates[0]
-    response_index = max(zip(rdepths, responses))[1] if responses else None
-    challenger_lts = lts1 if side == 1 else lts2
-    responder_lts = lts2 if side == 1 else lts1
+    response = max(zip(rdepths, responses))[1] if responses else None
     move = PlayMove(
         side=side,
-        label=label,
-        source_pair=(
-            semantics.format_marking(lts1.states[i]),
-            semantics.format_marking(lts2.states[j]),
-        ),
-        challenger_target=semantics.format_marking(challenger_lts.states[a2]),
-        response_target=(
-            None if response_index is None
-            else semantics.format_marking(responder_lts.states[response_index])
-        ),
+        label=labels[label],
+        source_pair=(semantics.format_marking(states[x]), semantics.format_marking(states[y])),
+        challenger_target=semantics.format_marking(states[a2]),
+        response_target=None if response is None else semantics.format_marking(states[response]),
     )
-    if response_index is None:
+    if response is None:
         return move, None
-    next_pair = (a2, response_index) if side == 1 else (response_index, a2)
-    return move, next_pair
+    return move, (a2, response) if side == 1 else (response, a2)
 
 
 def _eta_obs(eta: Correspondence):
@@ -294,13 +285,17 @@ def check_bisim(z1: OpenNet, z2: OpenNet, eta: Correspondence,
     with those of the second; transition labels are compared as they are.
     """
     _check_correspondence(eta, z1, z2)
-    lts1 = relabel(
-        _prepared_lts(z1, kind, mode, tau_labels, cap, max_step), _eta_obs(eta)
-    )
-    lts2 = _prepared_lts(z2, kind, mode, tau_labels, cap, max_step)
+    lts1, lts2 = (_prepared_lts(z, kind, mode, tau_labels, cap, max_step) for z in (z1, z2))
+    return _verdict(lts1, lts2, eta, kind, cap)
+
+
+def _verdict(lts1: Lts, lts2: Lts, eta: Correspondence, kind: str, cap: int) -> BisimVerdict:
+    """The verdict on two prepared transition systems, the first one's
+    interactions renamed through eta."""
+    lts1 = relabel(lts1, _eta_obs(eta))
     touched = lts1.has_overflow() or lts2.has_overflow()
 
-    blocks, depth = _refine_union(lts1, lts2)
+    labels, successors, blocks, depth = _refine_union(lts1, lts2)
     n1 = len(lts1.states)
 
     if blocks[lts1.initial] == blocks[n1 + lts2.initial]:
@@ -312,14 +307,14 @@ def check_bisim(z1: OpenNet, z2: OpenNet, eta: Correspondence,
         mixed_overflow = any((s1 is OVERFLOW) != (s2 is OVERFLOW) for s1, s2 in witness)
         result = INCONCLUSIVE if mixed_overflow else BISIMILAR
         return BisimVerdict(
-            kind=kind, mode=mode, result=result, bound=cap,
+            kind=kind, mode=lts1.mode, result=result, bound=cap,
             witness=witness, play=None,
             touched_overflow=touched or mixed_overflow, eta=eta,
         )
 
-    play = _extract_play(lts1, lts2, depth)
+    play = _extract_play(lts1, lts2, labels, successors, depth)
     return BisimVerdict(
-        kind=kind, mode=mode, result=NOT_BISIMILAR, bound=cap,
+        kind=kind, mode=lts1.mode, result=NOT_BISIMILAR, bound=cap,
         witness=None, play=play, touched_overflow=touched, eta=eta,
     )
 
@@ -350,21 +345,22 @@ def search_correspondence(z1: OpenNet, z2: OpenNet, kind="strong", mode=FIRING,
         )
     ins1, ins2 = sorted(z1.open_in), sorted(z2.open_in)
     outs1, outs2 = sorted(z1.open_out), sorted(z2.open_out)
-    first = None
-    fallback = None
-    for perm_in in itertools.permutations(ins2):
-        for perm_out in itertools.permutations(outs2):
-            eta = Correspondence(
-                eta_in=dict(zip(ins1, perm_in)),
-                eta_out=dict(zip(outs1, perm_out)),
-            )
-            verdict = check_bisim(z1, z2, eta, kind, mode, tau_labels, cap, max_step)
-            if verdict.result == BISIMILAR:
-                return verdict
-            if verdict.result == INCONCLUSIVE and fallback is None:
-                fallback = verdict
-            if first is None:
-                first = verdict
+    etas = [Correspondence(eta_in=dict(zip(ins1, perm_in)), eta_out=dict(zip(outs1, perm_out)))
+            for perm_in in itertools.permutations(ins2)
+            for perm_out in itertools.permutations(outs2)]
+    if len(etas) == 1:  # nothing to share between candidates: a plain check
+        return check_bisim(z1, z2, etas[0], kind, mode, tau_labels, cap, max_step)
+    # only the labels depend on eta, so each net is explored once
+    lts1, lts2 = (_prepared_lts(z, kind, mode, tau_labels, cap, max_step) for z in (z1, z2))
+    first = fallback = None
+    for eta in etas:
+        verdict = _verdict(lts1, lts2, eta, kind, cap)
+        if verdict.result == BISIMILAR:
+            return verdict
+        if verdict.result == INCONCLUSIVE and fallback is None:
+            fallback = verdict
+        if first is None:
+            first = verdict
     return fallback or first
 
 
@@ -438,7 +434,7 @@ def check_upto(z1: OpenNet, z2: OpenNet, eta: Correspondence, pairs,
         key = (which, root)
         if key not in cache:
             lts = _prepared_lts(z, "weak", FIRING, tau_labels, cap, DEFAULT_MAX_STEP, root=root)
-            moves = [(label, lts.states[dst]) for src, label, dst in lts.edges
+            moves = [(label, lts.states[dst]) for src, label, dst in lts.labelled_edges()
                      if src == lts.initial and lts.states[dst] is not OVERFLOW]
             cache[key] = (lts.has_overflow(), moves)
         overflows, moves = cache[key]

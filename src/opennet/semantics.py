@@ -12,12 +12,15 @@ of open nets.
 Markings are `Multiset`s at the API.  Step enumeration and the LTS build
 lower the net once per call to integer place indices, markings to tuples of
 counts and events to (index, count) pairs, and lift the states back to
-`Multiset`s at the end.
+`Multiset`s at the end.  Labels are kept once each in the transition
+system's label table and edges carry their index, so the weak closure, the
+renaming through a correspondence and the bisimilarity check compare
+integers; only output looks the labels up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import multiset
 from .composition import PushoutResult, places_square
@@ -402,22 +405,22 @@ OVERFLOW = _OverflowState()
 class Lts:
     """A finite labelled transition system over markings.
 
-    States are markings within the cap plus at most one overflow state;
-    edges carry a single observation (firing mode), a multiset of
-    observations (step mode), or None for silent weak transitions.
+    States are markings within the cap plus at most one overflow state.
+    `labels` holds each distinct label once: a single observation (firing
+    mode), a multiset of observations (step mode), or the silent label of a
+    weak closure.  An edge carries the index of its label in that table.
     """
 
     states: list
-    edges: list  # (source index, label, target index)
+    labels: list
+    edges: list  # (source index, label index, target index)
     initial: int
     mode: str
     cap: int
 
-    def successors(self):
-        out = [[] for _ in self.states]
-        for src, label, dst in self.edges:
-            out[src].append((label, dst))
-        return out
+    def labelled_edges(self) -> list:
+        """The edges as (source index, label, target index)."""
+        return [(src, self.labels[label], dst) for src, label, dst in self.edges]
 
     def has_overflow(self) -> bool:
         return any(state is OVERFLOW for state in self.states)
@@ -456,7 +459,8 @@ def build_lts(z: OpenNet, mode: str = FIRING, cap: int = DEFAULT_CAP,
         raise InitialExceedsCap(f"marking {start} exceeds the per-place cap {cap}")
     bound = 1 if mode == FIRING else max_step
     observed = [observe(z, e) for e in events]
-    labels = {}  # event indices -> label
+    table = {}  # label -> label index; equal labels share one index
+    labels = {}  # event indices -> label index
     states = [first]
     index = {first: 0}
     edges = []
@@ -467,9 +471,9 @@ def build_lts(z: OpenNet, mode: str = FIRING, cap: int = DEFAULT_CAP,
         for chosen, target in _steps(pre, post, u, bound):
             label = labels.get(chosen)
             if label is None:
-                label = (observed[chosen[0]] if mode == FIRING
-                         else Multiset(observed[e] for e in chosen))
-                labels[chosen] = label
+                obs = (observed[chosen[0]] if mode == FIRING
+                       else Multiset(observed[e] for e in chosen))
+                label = labels[chosen] = table.setdefault(obs, len(table))
             if max(target, default=0) > cap:
                 target = OVERFLOW
             dst = index.get(target)
@@ -480,7 +484,7 @@ def build_lts(z: OpenNet, mode: str = FIRING, cap: int = DEFAULT_CAP,
                 seen.add((label, dst))
                 edges.append((src, label, dst))
     states = [u if u is OVERFLOW else _lift(places, u) for u in states]
-    return Lts(states=states, edges=edges, initial=0, mode=mode, cap=cap)
+    return Lts(states=states, labels=list(table), edges=edges, initial=0, mode=mode, cap=cap)
 
 
 def weak_closure(lts: Lts, tau_labels) -> Lts:
@@ -492,18 +496,19 @@ def weak_closure(lts: Lts, tau_labels) -> Lts:
     For each state i other than the overflow state, the result has an edge
     (i, silent, j) for every j reachable by silent edges (i itself included),
     where silent is None in firing mode and the empty step in step mode, and
-    an edge (i, a, k) for every silent*;a;silent* path from i to k.
+    an edge (i, a, k) for every silent*;a;silent* path from i to k.  The
+    silent label joins the label table unless it is there already.
     """
     tau_labels = frozenset(tau_labels)
     n = len(lts.states)
     silent_succ = [[] for _ in range(n)]
     visible_succ = [[] for _ in range(n)]
-    kinds = {}  # label -> (silent, visible)
+    kinds = []  # per label index: (silent, visible)
+    for label in lts.labels:
+        observed = (label,) if lts.mode == FIRING else label.support()
+        tau = [o.kind == "lab" and o.name in tau_labels for o in observed]
+        kinds.append((all(tau), not any(tau)))
     for src, label, dst in lts.edges:
-        if label not in kinds:
-            observed = (label,) if lts.mode == FIRING else label.support()
-            tau = [o.kind == "lab" and o.name in tau_labels for o in observed]
-            kinds[label] = (all(tau), not any(tau))
         silent, visible = kinds[label]
         if silent:
             silent_succ[src].append(dst)
@@ -521,33 +526,31 @@ def weak_closure(lts: Lts, tau_labels) -> Lts:
         closure.append(reach)
 
     silent_label = None if lts.mode == FIRING else EMPTY
-    keys = {label: label_sort_key(label) for label in [silent_label, *kinds]}
+    labels = lts.labels if silent_label in lts.labels else [*lts.labels, silent_label]
+    silent = labels.index(silent_label)
+    keys = [label_sort_key(label) for label in labels]
     edges = []
     for i in range(n):
         if lts.states[i] is OVERFLOW:
             continue
         out = set()
         for j in closure[i]:
-            out.add((silent_label, j))
+            out.add((silent, j))
             for label, d in visible_succ[j]:
                 out.update((label, k) for k in closure[d])
         edges += [(i, label, k) for label, k in sorted(out, key=lambda e: (keys[e[0]], e[1]))]
-    return Lts(states=list(lts.states), edges=edges, initial=lts.initial,
-               mode=lts.mode, cap=lts.cap)
+    return replace(lts, labels=labels, edges=edges)
 
 
 def relabel(lts: Lts, fn) -> Lts:
-    """A copy of the Lts with fn applied to every non-silent label."""
-    edges = []
-    for src, label, dst in lts.edges:
-        if label is None:
-            edges.append((src, None, dst))
-        elif isinstance(label, Obs):
-            edges.append((src, fn(label), dst))
-        else:
-            edges.append((src, Multiset({fn(o): n for o, n in label.items()}), dst))
-    return Lts(states=list(lts.states), edges=edges, initial=lts.initial,
-               mode=lts.mode, cap=lts.cap)
+    """The Lts with fn applied to every observation of every non-silent label.
+
+    Only the label table is renamed: the result shares the states and the
+    edges of `lts`.
+    """
+    return replace(lts, labels=[
+        label if label is None else fn(label) if isinstance(label, Obs)
+        else Multiset({fn(o): n for o, n in label.items()}) for label in lts.labels])
 
 
 def format_marking(state) -> str:
@@ -579,7 +582,7 @@ def to_dot(lts: Lts, name: str = "lts") -> str:
         else:
             shape = ", shape=box" if i == lts.initial else ""
             lines.append(f'  n{i} [label="{format_marking(state)}"{shape}];')
-    for src, label, dst in lts.edges:
+    for src, label, dst in lts.labelled_edges():
         lines.append(f'  n{src} -> n{dst} [label="{format_label(label)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

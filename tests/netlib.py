@@ -473,9 +473,18 @@ def random_lts(rng: random.Random, max_states=30, max_labels=5, labels=None, max
     edges = []
     for src in range(n):
         for _ in range(rng.randint(0, max_out)):
-            edges.append((src, rng.choice(labels), rng.randrange(n)))
+            edges.append((src, rng.randrange(len(labels)), rng.randrange(n)))
     edges = sorted(set(edges))
-    return Lts(states=list(range(n)), edges=edges, initial=0, mode="firing", cap=0)
+    return Lts(states=list(range(n)), labels=list(labels), edges=edges, initial=0,
+               mode="firing", cap=0)
+
+
+def successors(lts) -> list:
+    """Per state, its (label, target) pairs, labels looked up in the table."""
+    out = [[] for _ in lts.states]
+    for src, label, dst in lts.labelled_edges():
+        out[src].append((label, dst))
+    return out
 
 
 def chain(n: int) -> OpenNet:
@@ -575,7 +584,7 @@ def check_play(lts1, lts2, play, initial_depth):
     index1 = {format_marking(s): k for k, s in enumerate(lts1.states)}
     index2 = {format_marking(s): k for k, s in enumerate(lts2.states)}
     assert len(index1) == len(lts1.states) and len(index2) == len(lts2.states)
-    edges1, edges2 = set(lts1.edges), set(lts2.edges)
+    edges1, edges2 = set(lts1.labelled_edges()), set(lts2.labelled_edges())
     assert len(play) == initial_depth
     pair = (lts1.initial, lts2.initial)
     for n, move in enumerate(play):
@@ -637,9 +646,10 @@ def naive_weak_closure(lts, tau_labels) -> set:
     def silent_count(label):
         return sum(o.kind == "lab" and o.name in tau_labels for o in observations(label))
 
-    silent = {(s, d) for s, label, d in lts.edges
+    edges = lts.labelled_edges()
+    silent = {(s, d) for s, label, d in edges
               if silent_count(label) == len(observations(label))}
-    visible = {(s, label, d) for s, label, d in lts.edges if silent_count(label) == 0}
+    visible = {(s, label, d) for s, label, d in edges if silent_count(label) == 0}
     star = {(i, i) for i in range(len(lts.states))} | silent
     while True:
         longer = star | {(a, d) for a, b in star for c, d in silent if b == c}

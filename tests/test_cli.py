@@ -111,12 +111,17 @@ GENERATED_CASES = [
 
 
 def _materialised(args, tmp_path, docs):
-    """_argv(args) with each key of docs replaced by a file holding its text."""
+    """_argv(args) with each key of docs replaced by a file holding its text
+    (or its bytes, for a document that is not UTF-8)."""
     argv = []
     for a in _argv(args):
         if a in docs:
             path = tmp_path / (a.strip("{}") + ".json")
-            path.write_text(docs[a](), encoding="utf-8")
+            content = docs[a]()
+            if isinstance(content, bytes):
+                path.write_bytes(content)
+            else:
+                path.write_text(content, encoding="utf-8")
             a = str(path)
         argv.append(a)
     return argv
@@ -247,6 +252,21 @@ MALFORMED = {
         ["upto", "chain3.json", "chain3.json", "--relation", "{doc}", "--cap", "-1"]),
     "check-rule-negative-cap": (
         lambda: _data("service_rule.json"), ["check-rule", "{doc}", "--cap", "-1"]),
+    # bytes the JSON reader cannot take: too deep, not UTF-8, a number too long
+    **{f"{case}-validate": (make, ["validate", "{doc}"])
+       for case, make in (
+           ("deep-nesting", lambda: "[" * 200_000),
+           ("invalid-utf8", lambda: b"\xff\xfe"),
+           ("long-initial", lambda: _data("chain3.json").replace(
+               '"initial": 1', '"initial": ' + "9" * 5001, 1)))},
+    # only null means "no fields"; other falsy values are not objects
+    **{f"{kind}-fields-{name}": (
+        lambda kind=kind, value=value: _edited(
+            _data("chain3.json"), lambda d: d[kind].update({next(iter(d[kind])): value})),
+        ["validate", "{doc}"])
+       for kind in ("places", "transitions")
+       for name, value in (("zero", 0), ("false", False), ("empty-string", ""),
+                           ("empty-list", []))},
 }
 
 
@@ -256,7 +276,10 @@ DIAGNOSES = {"pre-undeclared-place": "not well-formed",
              "place-transition-clash": "declared both as a place",
              "name-list": "name must be a string",
              "name-number": "name must be a string",
-             "upto-undeclared-place": "zz"}
+             "upto-undeclared-place": "zz",
+             **{f"{kind}-fields-{name}": "must map to an object of fields"
+                for kind in ("places", "transitions")
+                for name in ("zero", "false", "empty-string", "empty-list")}}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))

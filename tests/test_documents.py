@@ -62,3 +62,12 @@ def test_checked_in_documents_are_canonical():
             assert ROUND_TRIP[doc["format"]](text) == text, path.name
             checked += 1
     assert checked >= 10
+
+
+def test_null_fields_mean_no_fields():
+    doc = {"format": documents.NET_FORMAT, "places": {"p": None}}
+    _, z = documents.parse_net(json.dumps(doc))
+    assert z.places == {"p"} and not (z.open_in or z.open_out or z.initial)
+    doc["transitions"] = {"t": None}
+    with pytest.raises(documents.DocumentError, match="needs a non-empty string label"):
+        documents.parse_net(json.dumps(doc))

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from opennet import build_net, pushout
+from opennet import build_net, equivalence, pushout
+from opennet.cli import _verdict_json
 from opennet.equivalence import (
     BISIMILAR,
     INCONCLUSIVE,
@@ -48,6 +49,7 @@ from netlib import (
     random_net,
     rename_net,
     silent_then_act,
+    successors,
 )
 
 EMPTY_ETA = Correspondence(eta_in={}, eta_out={})
@@ -144,6 +146,58 @@ def test_search_correspondence_finds_witness():
 def test_search_correspondence_rejects_unequal_interfaces():
     with pytest.raises(NotACorrespondence):
         search_correspondence(absorber(), build_net(["s"], {}), cap=2)
+
+
+def _two_by_two(second_label):
+    """Two input-open and two output-open places, one transition per pair."""
+    return build_net(
+        ["i1", "i2", "o1", "o2"],
+        {"t1": ("a", {"i1": 1}, {"o1": 1}), "t2": (second_label, {"i2": 1}, {"o2": 1})},
+        open_in=["i1", "i2"], open_out=["o1", "o2"],
+    )
+
+
+def test_search_correspondence_explores_each_net_once(monkeypatch):
+    # NotBisimilar under all four correspondences, so every one is tried
+    builds = []
+
+    def counting(z, *args, **kwargs):
+        builds.append(z)
+        return build_lts(z, *args, **kwargs)
+
+    monkeypatch.setattr(equivalence, "build_lts", counting)
+    z1, z2 = _two_by_two("b"), _two_by_two("c")
+    verdict = search_correspondence(z1, z2, kind="strong", mode=FIRING, cap=1)
+    assert verdict.result == NOT_BISIMILAR
+    assert builds == [z1, z2]
+
+
+def _search_pairs():
+    """Seeded pairs with equal interface sizes, bisimilar by construction or
+    drawn independently, and the pair that no correspondence relates."""
+    rng = random.Random(31)
+    yield _two_by_two("b"), _two_by_two("c")
+    for _ in range(30):
+        z = random_net(rng, max_places=3)
+        yield z, mutate_preserving(rng, z)[0]
+        other = random_net(rng, max_places=3, prefix="o")
+        if (len(z.open_in), len(z.open_out)) == (len(other.open_in), len(other.open_out)):
+            yield z, other
+
+
+@pytest.mark.parametrize("options", [
+    dict(kind="strong", mode=FIRING, cap=2),
+    dict(kind="weak", mode=FIRING, tau_labels=frozenset({"tau"}), cap=2),
+    dict(kind="strong", mode=STEP, cap=1, max_step=2),
+])
+def test_search_correspondence_reports_its_correspondence_as_check_bisim_does(options):
+    results = set()
+    for z1, z2 in _search_pairs():
+        found = search_correspondence(z1, z2, **options)
+        direct = check_bisim(z1, z2, found.eta, **options)
+        assert _verdict_json(found) == _verdict_json(direct)
+        results.add(found.result)
+    assert {BISIMILAR, NOT_BISIMILAR} <= results
 
 
 def test_out_degree():
@@ -285,10 +339,6 @@ def test_upto_soundness_every_pair_bisimilar():
         assert verdict.result == BISIMILAR
 
 
-def _successors_of(lts):
-    return lts.successors()
-
-
 def _corpus_systems():
     """The firing, step (max_step 2) and weak-closed systems of the nets
     behind data/lts_corpus.json, with their real labels: `Obs`, step
@@ -306,21 +356,21 @@ def test_partition_refinement_matches_naive_oracle():
     systems = [random_lts(rng, max_states=30, max_labels=5) for _ in range(100)]
     shapes = set()
     for lts in systems + list(_corpus_systems()):
-        succ = _successors_of(lts)
+        succ = successors(lts)
         blocks = partition_refinement(len(lts.states), succ)
         related = naive_bisimulation(len(lts.states), succ)
         for i in range(len(lts.states)):
             for j in range(len(lts.states)):
                 assert (blocks[i] == blocks[j]) == ((i, j) in related)
         shapes |= {"EMPTY" if label == EMPTY else type(label).__name__
-                   for _, label, _ in lts.edges}
+                   for _, label, _ in lts.labelled_edges()}
     assert shapes == {"str", "Obs", "Multiset", "NoneType", "EMPTY"}
 
 
 def test_refinement_rounds_match_naive_depths_within_one_system():
     rounds_seen = 0
     for lts in _corpus_systems():
-        n, succ = len(lts.states), lts.successors()
+        n, succ = len(lts.states), successors(lts)
         rounds = []
         partition_refinement(n, succ, rounds)
         depths = naive_separation_depths(n, succ, n, succ)
@@ -348,12 +398,12 @@ def test_pair_depths_match_naive_oracle():
     bisimilar = separated = 0
     for lts1, lts2 in _random_lts_pairs():
         n1, n2 = len(lts1.states), len(lts2.states)
-        _, depth = _refine_union(lts1, lts2)
-        oracle = naive_separation_depths(n1, lts1.successors(), n2, lts2.successors())
+        *_, depth = _refine_union(lts1, lts2)
+        oracle = naive_separation_depths(n1, successors(lts1), n2, successors(lts2))
         for i in range(n1):
             for j in range(n2):
-                assert depth(i, j) == oracle.get((i, j), 0), (i, j)
-        if depth(lts1.initial, lts2.initial):
+                assert depth(i, n1 + j) == oracle.get((i, j), 0), (i, j)
+        if depth(lts1.initial, n1 + lts2.initial):
             separated += 1
         else:
             bisimilar += 1
@@ -363,10 +413,11 @@ def test_pair_depths_match_naive_oracle():
 def test_plays_from_refinement_are_lost_games():
     plays = 0
     for lts1, lts2 in _random_lts_pairs():
-        _, depth = _refine_union(lts1, lts2)
-        initial_depth = depth(lts1.initial, lts2.initial)
+        labels, succ, _, depth = _refine_union(lts1, lts2)
+        initial_depth = depth(lts1.initial, len(lts1.states) + lts2.initial)
         if initial_depth:
-            check_play(lts1, lts2, _extract_play(lts1, lts2, depth), initial_depth)
+            play = _extract_play(lts1, lts2, labels, succ, depth)
+            check_play(lts1, lts2, play, initial_depth)
             plays += 1
     assert plays >= 20
 
@@ -382,8 +433,8 @@ def test_verdict_play_is_a_lost_game(case):
     verdict = check_bisim(*args, **options)
     assert verdict.result == NOT_BISIMILAR
     lts1, lts2 = compared_ltss(*args, **options)
-    oracle = naive_separation_depths(len(lts1.states), lts1.successors(),
-                                     len(lts2.states), lts2.successors())
+    oracle = naive_separation_depths(len(lts1.states), successors(lts1),
+                                     len(lts2.states), successors(lts2))
     check_play(lts1, lts2, verdict.play, oracle[(lts1.initial, lts2.initial)])
 
 

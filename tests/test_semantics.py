@@ -42,6 +42,7 @@ from opennet.semantics import (
     project_step,
     to_dot,
     label_sort_key,
+    relabel,
     trans,
     weak_closure,
 )
@@ -296,7 +297,7 @@ def test_build_lts_closed_chain():
     z = build_net(["s", "sp"], {"t": ("a", {"s": 1}, {"sp": 1})}, initial={"s": 1})
     lts = build_lts(z, FIRING, cap=2)
     assert len(lts.states) == 2
-    assert lts.edges == [(0, Obs("lab", "a"), 1)]
+    assert lts.labelled_edges() == [(0, Obs("lab", "a"), 1)]
 
 
 def test_build_lts_open_place_overflows():
@@ -304,7 +305,7 @@ def test_build_lts_open_place_overflows():
     lts = build_lts(z, FIRING, cap=2)
     assert [str(s) if s is not OVERFLOW else "OVF" for s in lts.states] == \
         ["0", "s", "s:2", "OVF"]
-    assert (2, Obs("plus", "s"), 3) in lts.edges
+    assert (2, Obs("plus", "s"), 3) in lts.labelled_edges()
     assert lts.has_overflow()
     # no edges out of the overflow state
     assert all(src != 3 for src, _, _ in lts.edges)
@@ -314,7 +315,40 @@ def test_build_lts_agency_step_mode_parallel_label():
     z = agency_a()
     lts = build_lts(z, STEP, cap=2, max_step=6)
     parallel = Multiset.of(Obs("lab", "bookFlight"), Obs("lab", "bookHotel"))
-    assert any(label == parallel for _, label, _ in lts.edges)
+    assert any(label == parallel for _, label, _ in lts.labelled_edges())
+
+
+def test_build_lts_gives_equal_labels_one_index():
+    # two transitions with one label share an index, and the per-state
+    # edge set keeps one of their two equal edges
+    transitions = {"t": ("a", {"s": 1}, {"sp": 1}), "u": ("b", {"sp": 1}, {"s": 1})}
+    single = build_lts(build_net(["s", "sp"], transitions, initial={"s": 1}), FIRING, cap=2)
+    transitions["t_dup"] = ("a", {"s": 1}, {"sp": 1})
+    doubled = build_lts(build_net(["s", "sp"], transitions, initial={"s": 1}), FIRING, cap=2)
+    assert doubled.labels == single.labels == [Obs("lab", "a"), Obs("lab", "b")]
+    assert doubled.edges == single.edges == [(0, 0, 1), (1, 1, 0)]
+
+
+def test_label_tables_hold_each_label_once():
+    for seed in CORPUS_SEEDS:
+        z = random_net(random.Random(seed))
+        for mode, max_step in CORPUS_BUILDS.values():
+            lts = build_lts(z, mode, cap=2, max_step=max_step)
+            for system in (lts, weak_closure(lts, {"tau"})):
+                assert len(set(system.labels)) == len(system.labels)
+                assert {label for _, label, _ in system.edges} <= set(range(len(system.labels)))
+
+
+def test_relabel_renames_the_table_and_shares_the_edges():
+    lts = weak_closure(build_lts(absorber(), FIRING, cap=2), frozenset())
+    renamed = relabel(lts, lambda obs: Obs(obs.kind, obs.name.upper()))
+    assert renamed.edges is lts.edges and renamed.states is lts.states
+    assert renamed.labels == [Obs("plus", "S"), Obs("lab", "A"), None]
+    step = build_lts(agency_a(), STEP, cap=1, max_step=2)
+    renamed = relabel(step, lambda obs: Obs(obs.kind, obs.name + "'"))
+    assert renamed.edges is step.edges
+    assert renamed.labels == [Multiset({Obs(o.kind, o.name + "'"): n for o, n in label.items()})
+                              for label in step.labels]
 
 
 def test_build_lts_rejects_oversized_root():
@@ -334,17 +368,17 @@ def test_build_lts_deterministic():
     z = agency_a()
     a = build_lts(z, STEP, cap=2, max_step=4)
     b = build_lts(z, STEP, cap=2, max_step=4)
-    assert a.states == b.states and a.edges == b.edges
+    assert a.states == b.states and a.labels == b.labels and a.edges == b.edges
 
 
 def test_weak_closure_empty_tau_adds_only_reflexive_loops():
     z = agency_a()
     strong = build_lts(z, FIRING, cap=2)
     weak = weak_closure(strong, frozenset())
-    silent = [(s, l, d) for s, l, d in weak.edges if l is None]
+    silent = [(s, l, d) for s, l, d in weak.labelled_edges() if l is None]
     assert silent == [(i, None, i) for i in range(len(strong.states))]
-    visible = {(s, l, d) for s, l, d in weak.edges if l is not None}
-    assert visible == set(strong.edges)
+    visible = {(s, l, d) for s, l, d in weak.labelled_edges() if l is not None}
+    assert visible == set(strong.labelled_edges())
 
 
 def test_weak_closure_silent_path_then_visible():
@@ -353,9 +387,9 @@ def test_weak_closure_silent_path_then_visible():
     weak = weak_closure(strong, frozenset({"tau"}))
     idx = {str(s): i for i, s in enumerate(strong.states)}
     # from the initial marking, the visible `a` is reachable through the tau
-    assert (idx["s1"], Obs("lab", "a"), idx["0"]) in weak.edges
+    assert (idx["s1"], Obs("lab", "a"), idx["0"]) in weak.labelled_edges()
     # and the tau itself became a silent move
-    assert (idx["s1"], None, idx["p"]) in weak.edges
+    assert (idx["s1"], None, idx["p"]) in weak.labelled_edges()
 
 
 def test_weak_closure_reflexive_everywhere():
@@ -363,7 +397,7 @@ def test_weak_closure_reflexive_everywhere():
     weak = weak_closure(build_lts(z, FIRING, cap=3), frozenset({"tau"}))
     for i, state in enumerate(weak.states):
         if state is not OVERFLOW:
-            assert (i, None, i) in weak.edges
+            assert (i, None, i) in weak.labelled_edges()
 
 
 def test_weak_closure_step_mode_excludes_mixed_steps():
@@ -376,10 +410,10 @@ def test_weak_closure_step_mode_excludes_mixed_steps():
     strong = build_lts(z, STEP, cap=2, max_step=4)
     weak = weak_closure(strong, frozenset({"tau"}))
     mixed = Multiset.of(Obs("lab", "a"), Obs("lab", "tau"))
-    assert all(label != mixed for _, label, _ in weak.edges)
+    assert all(label != mixed for _, label, _ in weak.labelled_edges())
     # but the visible step alone is reachable after the silent one
     idx = {str(s): i for i, s in enumerate(strong.states)}
-    assert (idx["x+y"], Multiset.of(Obs("lab", "a")), idx["x"]) in weak.edges
+    assert (idx["x+y"], Multiset.of(Obs("lab", "a")), idx["x"]) in weak.labelled_edges()
 
 
 def test_overflow_soundness_random():
@@ -458,7 +492,8 @@ def test_firing_lts_is_the_step_lts_with_one_event_steps():
         firing = build_lts(z, FIRING, cap=2)
         step = build_lts(z, STEP, cap=2, max_step=1)
         assert firing.states == step.states
-        assert [(s, Multiset.of(label), d) for s, label, d in firing.edges] == step.edges
+        assert ([(s, Multiset.of(label), d) for s, label, d in firing.labelled_edges()]
+                == step.labelled_edges())
 
 
 # ----------------------------------------------------------- weak closure
@@ -480,12 +515,12 @@ def test_weak_closure_matches_the_oracle():
         for mode, max_step in ((FIRING, 1), (STEP, 2), (STEP, 3)):
             strong = build_lts(z, mode, cap=2, max_step=max_step)
             weak = weak_closure(strong, {"tau"})
-            assert set(weak.edges) == naive_weak_closure(strong, {"tau"})
-            keys = [(s, label_sort_key(label), d) for s, label, d in weak.edges]
+            assert set(weak.labelled_edges()) == naive_weak_closure(strong, {"tau"})
+            keys = [(s, label_sort_key(label), d) for s, label, d in weak.labelled_edges()]
             assert keys == sorted(set(keys))
             if mode == STEP:
                 mixed += sum(len({o.name == "tau" for o in label.support()}) == 2
-                             for _, label, _ in strong.edges)
+                             for _, label, _ in strong.labelled_edges())
     assert mixed >= 2000
 
 
@@ -502,7 +537,7 @@ def _lts_entry(seed, name, lts):
         "seed": seed,
         "lts": name,
         "states": [format_marking(s) for s in lts.states],
-        "edges": [[s, format_label(label), d] for s, label, d in lts.edges],
+        "edges": [[s, format_label(label), d] for s, label, d in lts.labelled_edges()],
     }
 
 
