@@ -8,8 +8,8 @@ iteration order is canonical (sorted) so that downstream output is stable.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 from .errors import NotSubmultiset, ProjectionMismatch
 

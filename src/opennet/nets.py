@@ -10,6 +10,7 @@ reflect openness, and reflect the initial marking.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Mapping
 
 from . import multiset
@@ -30,8 +31,19 @@ class PetriNet:
     transitions: Mapping[str, Transition]
 
 
+_NO_ARCS = (frozenset(), frozenset())
+
+
 @dataclass(frozen=True, eq=True)
 class OpenNet:
+    """A net with its open places and initial marking.
+
+    Nets are immutable after construction: no code changes a net's
+    transitions once it is built.  That is what lets the arc index, the
+    producers and consumers of each place, be built on first use in one
+    pass over the transitions and then kept for the net's lifetime.
+    """
+
     net: PetriNet
     open_in: frozenset
     open_out: frozenset
@@ -54,13 +66,23 @@ class OpenNet:
     def post(self, t: str) -> Multiset:
         return self.net.transitions[t].post
 
+    @cached_property
+    def _arcs(self) -> dict:
+        """place -> (producers, consumers), for every place some arc touches."""
+        arcs = {}
+        for t, tr in self.net.transitions.items():
+            for side, marking in enumerate((tr.post, tr.pre)):
+                for s in marking.support():
+                    arcs.setdefault(s, ([], []))[side].append(t)
+        return {s: (frozenset(p), frozenset(c)) for s, (p, c) in arcs.items()}
+
     def place_producers(self, s: str) -> frozenset:
         """Transitions with s in their post-set."""
-        return frozenset(t for t, tr in self.net.transitions.items() if s in tr.post)
+        return self._arcs.get(s, _NO_ARCS)[0]
 
     def place_consumers(self, s: str) -> frozenset:
         """Transitions with s in their pre-set."""
-        return frozenset(t for t, tr in self.net.transitions.items() if s in tr.pre)
+        return self._arcs.get(s, _NO_ARCS)[1]
 
     def is_open(self, s: str, polarity: str) -> bool:
         return s in (self.open_in if polarity == "+" else self.open_out)

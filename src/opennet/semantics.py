@@ -497,7 +497,9 @@ def weak_closure(lts: Lts, tau_labels) -> Lts:
     (i, silent, j) for every j reachable by silent edges (i itself included),
     where silent is None in firing mode and the empty step in step mode, and
     an edge (i, a, k) for every silent*;a;silent* path from i to k.  The
-    silent label joins the label table unless it is there already.
+    silent label joins the label table unless it is there already; it
+    observes nothing, so it is silent when a closure is closed again, and
+    that gives the closure back unchanged.
     """
     tau_labels = frozenset(tau_labels)
     n = len(lts.states)
@@ -505,7 +507,8 @@ def weak_closure(lts: Lts, tau_labels) -> Lts:
     visible_succ = [[] for _ in range(n)]
     kinds = []  # per label index: (silent, visible)
     for label in lts.labels:
-        observed = (label,) if lts.mode == FIRING else label.support()
+        # the silent label (None, or EMPTY in step mode) observes nothing
+        observed = () if label is None else (label,) if lts.mode == FIRING else label.support()
         tau = [o.kind == "lab" and o.name in tau_labels for o in observed]
         kinds.append((all(tau), not any(tau)))
     for src, label, dst in lts.edges:

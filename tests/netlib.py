@@ -452,6 +452,21 @@ def net_isomorphic(z1: OpenNet, z2: OpenNet) -> bool:
     return False
 
 
+def scan_arcs(z: OpenNet, s) -> tuple[frozenset, frozenset]:
+    """The producers and consumers of s, by a scan over every transition."""
+    return (frozenset(t for t in z.transitions if s in z.post(t)),
+            frozenset(t for t in z.transitions if s in z.pre(t)))
+
+
+def scan_in_out_places(f: Morphism) -> tuple[frozenset, frozenset]:
+    """`nets.in_places(f)` and `nets.out_places(f)`, computed from scan_arcs."""
+    return tuple(
+        frozenset(s for s in f.source.places
+                  if scan_arcs(f.target, f.place_map[s])[side]
+                  - {f.trans_map[t] for t in scan_arcs(f.source, s)[side]})
+        for side in (0, 1))
+
+
 def all_markings(places, cap):
     """Every marking over the given places with counts up to cap."""
     places = sorted(places)

@@ -2,9 +2,12 @@
 
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opennet import documents
 
@@ -71,3 +74,54 @@ def test_null_fields_mean_no_fields():
     doc["transitions"] = {"t": None}
     with pytest.raises(documents.DocumentError, match="needs a non-empty string label"):
         documents.parse_net(json.dumps(doc))
+
+
+# -------------------------------------------------- the canonical writer
+
+WRITER = settings(derandomize=True, deadline=None, database=None, max_examples=400)
+
+# strings that need escaping: quotes, backslashes, control and non-ASCII
+# characters, a lone surrogate and one outside the basic plane
+awkward = st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n\t", "é", "\u2028",
+                           "\ud800", "\U0001f600", "p0", ""])
+str_keys = st.text(max_size=4) | awkward
+scalars = (st.none() | st.booleans() | st.integers() | st.sampled_from([-2**70, 10**40])
+           | st.floats() | st.sampled_from([float("nan"), float("inf"), -0.0]) | str_keys)
+
+
+def _containers(inner):
+    return (st.lists(inner, max_size=4)
+            | st.lists(inner, max_size=4).map(tuple)
+            | st.dictionaries(str_keys, inner, max_size=4)
+            # json turns these keys into strings; mixed kinds refuse to sort
+            | st.dictionaries(st.integers() | st.booleans() | st.none(), inner, max_size=3)
+            | st.dictionaries(st.floats(), inner, max_size=3))
+
+
+json_values = st.recursive(scalars, _containers, max_leaves=30)
+refused = st.sampled_from([{1, 2}, b"x", object(), 1j, {(1, 2): 0}, {"k": {frozenset(): 1}}])
+
+
+def _outcome(write, value):
+    try:
+        return write(value)
+    except TypeError as exc:
+        return TypeError, str(exc)
+
+
+def _reference(value):
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@WRITER
+@given(json_values | st.recursive(refused, _containers, max_leaves=6))
+def test_dumps_is_json_with_indent_and_sorted_keys(value):
+    assert _outcome(documents.dumps, value) == _outcome(_reference, value)
+
+
+def test_dumps_refuses_what_json_refuses():
+    for value in ({1, 2}, [b"x"], {"a": [object()]}, {(1, 2): 0}, {"a": 1, 2: "b"}):
+        with pytest.raises(TypeError) as expected:
+            _reference(value)
+        with pytest.raises(TypeError, match=re.escape(str(expected.value))):
+            documents.dumps(value)

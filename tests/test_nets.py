@@ -1,10 +1,11 @@
 """Open nets, morphisms, embeddings, and their validation."""
 
 import random
+from pathlib import Path
 
 import pytest
 
-from opennet import build_net, compose, identity, is_embedding
+from opennet import build_net, compose, documents, identity, is_embedding
 from opennet.errors import DomainMismatch, PlaceNotOpen, UnknownPlace
 from opennet.multiset import Multiset
 from opennet.nets import (
@@ -17,8 +18,19 @@ from opennet.nets import (
     validate_morphism,
     validate_net,
 )
+from opennet.rewriting import find_matches
 
-from netlib import agency_a, random_composable_span
+from netlib import (
+    agency_a,
+    random_composable_span,
+    random_host,
+    random_net,
+    scan_arcs,
+    scan_in_out_places,
+    service_rule,
+)
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_validate_net_unknown_place_in_pre():
@@ -187,3 +199,37 @@ def test_correspondence_validation():
     assert validate_correspondence(good, z1, z2).ok
     bad = Correspondence(eta_in={"a": "x"}, eta_out={"a": "x", "b": "x"})
     assert not validate_correspondence(bad, z1, z2).ok
+
+
+def _service_host():
+    return documents.parse_net((DATA / "service_host.json").read_text(encoding="utf-8"))[1]
+
+
+def test_place_producers_and_consumers_equal_a_scan():
+    rng = random.Random(23)
+    nets = [_service_host()]
+    for _ in range(40):
+        f1, f2 = random_composable_span(rng)
+        nets += [random_net(rng, max_places=5, max_trans=5), f1.source, f1.target, f2.target]
+    arcs = 0
+    for z in nets:
+        for s in sorted(z.places) + ["undeclared"]:
+            assert (z.place_producers(s), z.place_consumers(s)) == scan_arcs(z, s)
+            arcs += len(z.place_producers(s)) + len(z.place_consumers(s))
+    assert arcs >= 300
+
+
+def test_in_and_out_places_equal_a_scan():
+    rng = random.Random(29)
+    embeddings = find_matches(service_rule().lhs, _service_host())
+    for _ in range(60):
+        z = random_net(rng)
+        host = random_host(rng, z)
+        embeddings += [*random_composable_span(rng),
+                       Morphism(source=z, target=host, place_map={s: s for s in z.places},
+                                trans_map={t: t for t in z.transitions})]
+    gained = 0
+    for f in embeddings:
+        assert (in_places(f), out_places(f)) == scan_in_out_places(f)
+        gained += len(in_places(f)) + len(out_places(f))
+    assert gained >= 60

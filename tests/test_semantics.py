@@ -524,6 +524,14 @@ def test_weak_closure_matches_the_oracle():
     assert mixed >= 2000
 
 
+@pytest.mark.parametrize("mode, max_step", [(FIRING, 1), (STEP, 2)])
+def test_weak_closure_of_a_weak_closure_is_itself(mode, max_step):
+    for z in [silent_then_act(), *tau_nets(random.Random(17), 10)]:
+        weak = weak_closure(build_lts(z, mode, cap=2, max_step=max_step), {"tau"})
+        again = weak_closure(weak, {"tau"})
+        assert again.labels == weak.labels and again.edges == weak.edges
+
+
 # ---------------------------------------------------------- pinned corpus
 
 CORPUS = Path(__file__).parent / "data" / "lts_corpus.json"
