@@ -67,9 +67,7 @@ def _verdict_json(verdict) -> dict:
     if verdict.eta is not None:
         doc["eta"] = documents.eta_to_json(verdict.eta)
     if verdict.witness is not None:
-        doc["witness"] = [
-            [format_marking(u1), format_marking(u2)] for u1, u2 in verdict.witness
-        ]
+        doc["witness"] = verdict.witness
     if verdict.play is not None:
         doc["play"] = [
             {
@@ -117,7 +115,7 @@ def cmd_lts(args) -> int:
         "net": name,
         "mode": lts.mode,
         "cap": lts.cap,
-        "states": [format_marking(s) for s in lts.states],
+        "states": [format_marking(lts.places, s) for s in lts.states],
         "initial": lts.initial,
         "edges": [[src, format_label(label), dst] for src, label, dst in lts.labelled_edges()],
         "overflow": lts.has_overflow(),

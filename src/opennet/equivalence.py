@@ -12,13 +12,14 @@ on unexplored behaviour.
 One refinement of the disjoint union of the two transition systems yields
 everything: its final partition decides the verdict and groups the witness
 pairs, and its rounds give the depth of every cross pair, the number of
-moves in which the challenger wins from it.  The distinguishing play starts
-at the initial pair and lowers the depth by exactly one per move, so it is
-as long as the initial pair's depth.
+moves in which the challenger wins from it.  The play starts at the initial
+pair and lowers the depth by one per move, so it is as long as the initial
+pair's depth.  Witness and play write states as their markings' text.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -82,6 +83,8 @@ class PlayMove:
 
 @dataclass
 class BisimVerdict:
+    """A check's answer; `witness` relates markings as (text, text) pairs, like `PlayMove`."""
+
     kind: str  # "strong" | "weak"
     mode: str  # "firing" | "step"
     result: str
@@ -196,30 +199,36 @@ def _refine_union(lts1: Lts, lts2: Lts):
     return list(table), successors, blocks, depth
 
 
-def _extract_play(lts1: Lts, lts2: Lts, labels, successors, depth):
+def _state_namer(lts1: Lts, lts2: Lts):
+    """The marking text of a union state, each state formatted at most once."""
+    places = [lts1.places] * len(lts1.states) + [lts2.places] * len(lts2.states)
+    states = lts1.states + lts2.states
+    return functools.cache(lambda x: semantics.format_marking(places[x], states[x]))
+
+
+def _extract_play(lts1: Lts, lts2: Lts, labels, successors, depth, name):
     """A shortest alternating challenge/response trace for the initial pair.
 
     `labels`, `successors` and `depth` are those `_refine_union` returns,
-    so the play walks union states and union label indices.  At a pair of
-    depth d the challenger picks a move all of whose answers land in pairs
-    of depth below d.  Since the pair is (d-1)-step bisimilar, one answer
-    reaches a (d-2)-step bisimilar pair, of depth exactly d-1, and the
-    responder takes its deepest answer; at depth 1 there is no answer at
-    all.  So every move lowers the depth by one, and the play is exactly as
-    long as the depth of the initial pair.
+    so the play walks union states and union label indices, and `name`
+    writes a union state.  At a pair of depth d the challenger picks a move
+    all of whose answers land in pairs of depth below d.  Since the pair is
+    (d-1)-step bisimilar, one answer reaches a (d-2)-step bisimilar pair, of
+    depth exactly d-1, and the responder takes its deepest answer; at depth
+    1 there is no answer at all.  So every move lowers the depth by one, and
+    the play is exactly as long as the depth of the initial pair.
     """
-    states = lts1.states + lts2.states
     keys = [label_sort_key(label) for label in labels]
     play = []
     pair = (lts1.initial, len(lts1.states) + lts2.initial)
     while pair is not None and depth(*pair):
         x, y = pair
-        move, pair = _best_challenge(states, labels, keys, successors, x, y, depth)
+        move, pair = _best_challenge(name, labels, keys, successors, x, y, depth)
         play.append(move)
     return play
 
 
-def _best_challenge(states, labels, keys, successors, x, y, depth):
+def _best_challenge(name, labels, keys, successors, x, y, depth):
     """The canonical winning challenge at a separated pair of union states.
 
     A challenge wins iff every response lands in a pair separated strictly
@@ -242,9 +251,9 @@ def _best_challenge(states, labels, keys, successors, x, y, depth):
     move = PlayMove(
         side=side,
         label=labels[label],
-        source_pair=(semantics.format_marking(states[x]), semantics.format_marking(states[y])),
-        challenger_target=semantics.format_marking(states[a2]),
-        response_target=None if response is None else semantics.format_marking(states[response]),
+        source_pair=(name(x), name(y)),
+        challenger_target=name(a2),
+        response_target=None if response is None else name(response),
     )
     if response is None:
         return move, None
@@ -296,23 +305,23 @@ def _verdict(lts1: Lts, lts2: Lts, eta: Correspondence, kind: str, cap: int) -> 
     touched = lts1.has_overflow() or lts2.has_overflow()
 
     labels, successors, blocks, depth = _refine_union(lts1, lts2)
-    n1 = len(lts1.states)
+    n1, name = len(lts1.states), _state_namer(lts1, lts2)
 
     if blocks[lts1.initial] == blocks[n1 + lts2.initial]:
         by_block = {}
-        for j, s2 in enumerate(lts2.states):
-            by_block.setdefault(blocks[n1 + j], []).append(s2)
-        witness = [(s1, s2) for i, s1 in enumerate(lts1.states)
-                   for s2 in by_block.get(blocks[i], ())]
-        mixed_overflow = any((s1 is OVERFLOW) != (s2 is OVERFLOW) for s1, s2 in witness)
+        for j in range(n1, len(blocks)):
+            by_block.setdefault(blocks[j], []).append(j)
+        states = lts1.states + lts2.states
+        pairs = [(i, j) for i in range(n1) for j in by_block.get(blocks[i], ())]
+        mixed_overflow = any((states[i] is OVERFLOW) != (states[j] is OVERFLOW) for i, j in pairs)
         result = INCONCLUSIVE if mixed_overflow else BISIMILAR
         return BisimVerdict(
             kind=kind, mode=lts1.mode, result=result, bound=cap,
-            witness=witness, play=None,
+            witness=[(name(i), name(j)) for i, j in pairs], play=None,
             touched_overflow=touched or mixed_overflow, eta=eta,
         )
 
-    play = _extract_play(lts1, lts2, labels, successors, depth)
+    play = _extract_play(lts1, lts2, labels, successors, depth, name)
     return BisimVerdict(
         kind=kind, mode=lts1.mode, result=NOT_BISIMILAR, bound=cap,
         witness=None, play=play, touched_overflow=touched, eta=eta,
@@ -434,7 +443,7 @@ def check_upto(z1: OpenNet, z2: OpenNet, eta: Correspondence, pairs,
         key = (which, root)
         if key not in cache:
             lts = _prepared_lts(z, "weak", FIRING, tau_labels, cap, DEFAULT_MAX_STEP, root=root)
-            moves = [(label, lts.states[dst]) for src, label, dst in lts.labelled_edges()
+            moves = [(label, lts.marking(dst)) for src, label, dst in lts.labelled_edges()
                      if src == lts.initial and lts.states[dst] is not OVERFLOW]
             cache[key] = (lts.has_overflow(), moves)
         overflows, moves = cache[key]

@@ -134,12 +134,13 @@ class Multiset:
         return f"Multiset({{{inner}}})"
 
     def __str__(self):
-        if not self._entries:
-            return "0"
-        return "+".join(
-            str(item) if count == 1 else f"{str(item)}:{count}"
-            for item, count in self.items()
-        )
+        return format_counts(self.items())
+
+
+def format_counts(pairs) -> str:
+    """The text of (item, count) pairs, in their order, zero counts skipped:
+    "p+q:2" for p once and q twice, "0" for none.  The one writer of markings."""
+    return "+".join(str(i) if n == 1 else f"{i}:{n}" for i, n in pairs if n) or "0"
 
 
 def _wrap(data: dict) -> Multiset:

@@ -11,11 +11,11 @@ of open nets.
 
 Markings are `Multiset`s at the API.  Step enumeration and the LTS build
 lower the net once per call to integer place indices, markings to tuples of
-counts and events to (index, count) pairs, and lift the states back to
-`Multiset`s at the end.  Labels are kept once each in the transition
-system's label table and edges carry their index, so the weak closure, the
-renaming through a correspondence and the bisimilarity check compare
-integers; only output looks the labels up.
+counts and events to (index, count) pairs; an `Lts` keeps its states as
+those tuples, over its sorted `places`.  Labels are kept once each in the
+transition system's label table and edges carry their index, so the weak
+closure, the renaming through a correspondence and the bisimilarity check
+compare integers; only output looks the states and the labels up.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import (
     NotEnabled,
     ProjectionMismatch,
 )
-from .multiset import EMPTY, Multiset
+from .multiset import EMPTY, Multiset, format_counts
 from .nets import Morphism, OpenNet
 
 FIRING = "firing"
@@ -171,16 +171,12 @@ def _lower(z: OpenNet, u: Multiset):
     """Places in sorted order (u's included), events in `all_events` order,
     each event's (place index, count) pre- and post-pairs, and u as a tuple
     of counts."""
-    places = sorted(set(z.places) | u.support())
+    places = tuple(sorted(set(z.places) | u.support()))
     index = {s: i for i, s in enumerate(places)}
     events = all_events(z)
     pre = [tuple((index[s], n) for s, n in event_pre(z, e).items()) for e in events]
     post = [tuple((index[s], n) for s, n in event_post(z, e).items()) for e in events]
     return places, events, pre, post, tuple(u.count(s) for s in places)
-
-
-def _lift(places, marking: tuple) -> Multiset:
-    return Multiset({s: n for s, n in zip(places, marking) if n})
 
 
 def _steps(pre, post, u: tuple, max_step: int) -> list:
@@ -225,7 +221,7 @@ def enabled_steps(z: OpenNet, u: Multiset, mode: str = FIRING,
     bound = 1 if mode == FIRING else max_step
     return [
         Step(events=Multiset(events[e] for e in chosen), source=u,
-             target=_lift(places, target))
+             target=Multiset(dict(zip(places, target))))
         for chosen, target in _steps(pre, post, marking, bound)
         if mode == FIRING or max(target, default=0) <= cap
     ]
@@ -405,13 +401,14 @@ OVERFLOW = _OverflowState()
 class Lts:
     """A finite labelled transition system over markings.
 
-    States are markings within the cap plus at most one overflow state.
-    `labels` holds each distinct label once: a single observation (firing
-    mode), a multiset of observations (step mode), or the silent label of a
-    weak closure.  An edge carries the index of its label in that table.
+    States are markings within the cap, as tuples of counts over `places`,
+    plus at most one `OVERFLOW`.  `labels` holds each distinct label once: a
+    single observation (firing mode), a multiset of observations (step mode)
+    or the silent label of a weak closure.  An edge carries its label index.
     """
 
     states: list
+    places: tuple
     labels: list
     edges: list  # (source index, label index, target index)
     initial: int
@@ -424,6 +421,11 @@ class Lts:
 
     def has_overflow(self) -> bool:
         return any(state is OVERFLOW for state in self.states)
+
+    def marking(self, i: int):
+        """State i as a `Multiset`; the overflow state stays `OVERFLOW`."""
+        state = self.states[i]
+        return state if state is OVERFLOW else Multiset(dict(zip(self.places, state)))
 
 
 def label_sort_key(label):
@@ -483,8 +485,7 @@ def build_lts(z: OpenNet, mode: str = FIRING, cap: int = DEFAULT_CAP,
             if (label, dst) not in seen:
                 seen.add((label, dst))
                 edges.append((src, label, dst))
-    states = [u if u is OVERFLOW else _lift(places, u) for u in states]
-    return Lts(states=states, labels=list(table), edges=edges, initial=0, mode=mode, cap=cap)
+    return Lts(states, places, list(table), edges, initial=0, mode=mode, cap=cap)
 
 
 def weak_closure(lts: Lts, tau_labels) -> Lts:
@@ -556,36 +557,36 @@ def relabel(lts: Lts, fn) -> Lts:
         else Multiset({fn(o): n for o, n in label.items()}) for label in lts.labels])
 
 
-def format_marking(state) -> str:
-    if state is OVERFLOW:
-        return "OVERFLOW"
-    return str(state)
+def format_marking(places, state) -> str:
+    """The text of an `Lts` state over its `places`, as `str` of its
+    `Multiset` writes it; the overflow state reads "OVERFLOW"."""
+    return "OVERFLOW" if state is OVERFLOW else format_counts(zip(places, state))
 
 
 def format_label(label) -> str:
     if label is None:
         return "0"
-    if isinstance(label, Obs):
-        return str(label)
     if isinstance(label, Multiset):
-        if not label:
-            return "{}"
-        return "{" + ",".join(
-            str(o) if n == 1 else f"{o}:{n}" for o, n in label.items()
-        ) + "}"
+        return "{" + ",".join(str(o) if n == 1 else f"{o}:{n}" for o, n in label.items()) + "}"
     return str(label)
 
 
 def to_dot(lts: Lts, name: str = "lts") -> str:
-    """Graphviz rendering; the overflow state is drawn as a double octagon."""
-    lines = [f"digraph {name} {{", "  rankdir=LR;"]
+    """Graphviz rendering; the overflow state is drawn as a double octagon.
+    A name that is not a plain DOT identifier is quoted, and labels are escaped."""
+    def quote(text):
+        return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    plain = name.isascii() and name.isidentifier() and name.lower() not in (
+        "graph", "digraph", "subgraph", "node", "edge", "strict")
+    lines = [f"digraph {name if plain else quote(name)} {{", "  rankdir=LR;"]
     for i, state in enumerate(lts.states):
         if state is OVERFLOW:
             lines.append(f'  n{i} [label="overflow", shape=doubleoctagon];')
         else:
             shape = ", shape=box" if i == lts.initial else ""
-            lines.append(f'  n{i} [label="{format_marking(state)}"{shape}];')
+            lines.append(f"  n{i} [label={quote(format_marking(lts.places, state))}{shape}];")
     for src, label, dst in lts.labelled_edges():
-        lines.append(f'  n{src} -> n{dst} [label="{format_label(label)}"];')
+        lines.append(f"  n{src} -> n{dst} [label={quote(format_label(label))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -490,8 +490,8 @@ def random_lts(rng: random.Random, max_states=30, max_labels=5, labels=None, max
         for _ in range(rng.randint(0, max_out)):
             edges.append((src, rng.randrange(len(labels)), rng.randrange(n)))
     edges = sorted(set(edges))
-    return Lts(states=list(range(n)), labels=list(labels), edges=edges, initial=0,
-               mode="firing", cap=0)
+    return Lts(states=[(i,) for i in range(n)], places=("s",), labels=list(labels),
+               edges=edges, initial=0, mode="firing", cap=0)
 
 
 def successors(lts) -> list:
@@ -596,8 +596,8 @@ def check_play(lts1, lts2, play, initial_depth):
     """
     from opennet.semantics import format_marking
 
-    index1 = {format_marking(s): k for k, s in enumerate(lts1.states)}
-    index2 = {format_marking(s): k for k, s in enumerate(lts2.states)}
+    index1 = {format_marking(lts1.places, s): k for k, s in enumerate(lts1.states)}
+    index2 = {format_marking(lts2.places, s): k for k, s in enumerate(lts2.states)}
     assert len(index1) == len(lts1.states) and len(index2) == len(lts2.states)
     edges1, edges2 = set(lts1.labelled_edges()), set(lts2.labelled_edges())
     assert len(play) == initial_depth

@@ -91,6 +91,13 @@ def test_lts_dot_file_and_report(tmp_path, capsys):
     assert dot.read_text(encoding="utf-8") == (DATA / "lts_chain3.dot").read_text(encoding="utf-8")
 
 
+def test_lts_dot_quotes_a_net_name_that_is_no_identifier(tmp_path, capsys):
+    dot = tmp_path / "chain3_x.dot"
+    assert main(_argv(["lts", "chain3_x.json", "--cap", "1", "--dot", str(dot)])) == 0
+    capsys.readouterr()
+    assert dot.read_text(encoding="utf-8").startswith('digraph "chain3+x" {\n')
+
+
 # documents built from the net library, written to files named by these keys
 GENERATED = {
     "{loop_span}": lambda: documents.emit_span(*loop_span()),

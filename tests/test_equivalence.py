@@ -12,6 +12,7 @@ from opennet.equivalence import (
     NOT_BISIMILAR,
     _extract_play,
     _refine_union,
+    _state_namer,
     check_bisim,
     check_upto,
     induced_correspondence,
@@ -60,7 +61,7 @@ def test_agencies_strong_firing_bisimilar():
                           kind="strong", mode=FIRING, cap=2)
     assert verdict.result == BISIMILAR
     assert not verdict.touched_overflow
-    initial_pair = (agency_a().initial, agency_b().initial)
+    initial_pair = (str(agency_a().initial), str(agency_b().initial))
     assert initial_pair in set(verdict.witness)
 
 
@@ -89,6 +90,19 @@ def test_ccs_pair_closed_variant_weakly_bisimilar():
                           kind="weak", mode=FIRING,
                           tau_labels={"tau"}, cap=3)
     assert verdict.result == BISIMILAR
+
+
+def test_a_place_named_overflow_is_a_real_marking():
+    """Overflow is decided on the states, never on their text: a place
+    named OVERFLOW writes a real marking as "OVERFLOW"."""
+    def net(place):
+        return build_net([place], {"t": ("a", {place: 1}, {})}, initial={place: 1})
+
+    verdict = check_bisim(net("OVERFLOW"), net("o"), EMPTY_ETA, cap=2)
+    assert verdict.result == BISIMILAR
+    assert not verdict.touched_overflow
+    assert [list(pair) for pair in _verdict_json(verdict)["witness"]] == \
+        [["OVERFLOW", "o"], ["0", "0"]]
 
 
 def test_not_a_correspondence_rejected():
@@ -416,7 +430,7 @@ def test_plays_from_refinement_are_lost_games():
         labels, succ, _, depth = _refine_union(lts1, lts2)
         initial_depth = depth(lts1.initial, len(lts1.states) + lts2.initial)
         if initial_depth:
-            play = _extract_play(lts1, lts2, labels, succ, depth)
+            play = _extract_play(lts1, lts2, labels, succ, depth, _state_namer(lts1, lts2))
             check_play(lts1, lts2, play, initial_depth)
             plays += 1
     assert plays >= 20

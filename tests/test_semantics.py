@@ -51,6 +51,7 @@ from netlib import (
     absorber,
     agency_a,
     all_markings,
+    chain,
     loop_span,
     naive_weak_closure,
     random_composable_span,
@@ -303,12 +304,26 @@ def test_build_lts_closed_chain():
 def test_build_lts_open_place_overflows():
     z = build_net(["s"], {}, open_in=["s"])
     lts = build_lts(z, FIRING, cap=2)
-    assert [str(s) if s is not OVERFLOW else "OVF" for s in lts.states] == \
-        ["0", "s", "s:2", "OVF"]
+    assert ["OVF" if s is OVERFLOW else str(lts.marking(i)) for i, s in enumerate(lts.states)] \
+        == ["0", "s", "s:2", "OVF"]
     assert (2, Obs("plus", "s"), 3) in lts.labelled_edges()
     assert lts.has_overflow()
     # no edges out of the overflow state
     assert all(src != 3 for src, _, _ in lts.edges)
+
+
+def test_build_lts_makes_no_multiset_per_state(monkeypatch):
+    z, made = chain(5), []
+    init = Multiset.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Multiset, "__init__", counting)
+    lts = build_lts(z, FIRING, cap=4)
+    assert len(lts.states) == 3126
+    assert len(made) < len(lts.states) // 100
 
 
 def test_build_lts_agency_step_mode_parallel_label():
@@ -385,7 +400,7 @@ def test_weak_closure_silent_path_then_visible():
     z = silent_then_act()
     strong = build_lts(z, FIRING, cap=3)
     weak = weak_closure(strong, frozenset({"tau"}))
-    idx = {str(s): i for i, s in enumerate(strong.states)}
+    idx = {str(strong.marking(i)): i for i in range(len(strong.states))}
     # from the initial marking, the visible `a` is reachable through the tau
     assert (idx["s1"], Obs("lab", "a"), idx["0"]) in weak.labelled_edges()
     # and the tau itself became a silent move
@@ -412,7 +427,7 @@ def test_weak_closure_step_mode_excludes_mixed_steps():
     mixed = Multiset.of(Obs("lab", "a"), Obs("lab", "tau"))
     assert all(label != mixed for _, label, _ in weak.labelled_edges())
     # but the visible step alone is reachable after the silent one
-    idx = {str(s): i for i, s in enumerate(strong.states)}
+    idx = {str(strong.marking(i)): i for i in range(len(strong.states))}
     assert (idx["x+y"], Multiset.of(Obs("lab", "a")), idx["x"]) in weak.labelled_edges()
 
 
@@ -429,7 +444,7 @@ def test_overflow_soundness_random():
             overflow_ids = {i for i, s in enumerate(lts.states) if s is OVERFLOW}
             for src, _, dst in lts.edges:
                 assert src not in overflow_ids
-                target = lts.states[dst]
+                target = lts.marking(dst)
                 assert target is OVERFLOW or all(c <= 2 for _, c in target.items())
 
 
@@ -438,7 +453,25 @@ def test_dot_export_shapes():
     lts = build_lts(z, FIRING, cap=1)
     dot = to_dot(lts)
     assert "doubleoctagon" in dot
-    assert dot.startswith("digraph")
+    assert dot.startswith("digraph lts {\n")
+
+
+def test_dot_quotes_names_and_escapes_labels():
+    z = build_net(['say "hi"', "back\\slash"],
+                  {"t": ('a"b', {'say "hi"': 1}, {"back\\slash": 1})},
+                  initial={'say "hi"': 1})
+    lts = build_lts(z, FIRING, cap=1)
+    dot = to_dot(lts, "chain3+x")
+    assert dot.splitlines() == [
+        'digraph "chain3+x" {',
+        "  rankdir=LR;",
+        '  n0 [label="say \\"hi\\"", shape=box];',
+        '  n1 [label="back\\\\slash"];',
+        '  n0 -> n1 [label="a\\"b"];',
+        "}",
+    ]
+    assert to_dot(lts, "node").startswith('digraph "node" {')
+    assert to_dot(lts, "_chain3").startswith("digraph _chain3 {")
 
 
 # ------------------------------------------------------- step enumeration
@@ -544,7 +577,7 @@ def _lts_entry(seed, name, lts):
     return {
         "seed": seed,
         "lts": name,
-        "states": [format_marking(s) for s in lts.states],
+        "states": [format_marking(lts.places, s) for s in lts.states],
         "edges": [[s, format_label(label), d] for s, label, d in lts.labelled_edges()],
     }
 
@@ -561,6 +594,18 @@ def corpus_entries():
             if name in CORPUS_WEAK:
                 entries.append(_lts_entry(seed, "weak-" + name, weak_closure(lts, {"tau"})))
     return entries
+
+
+def test_format_marking_writes_what_the_multiset_writes():
+    for seed in CORPUS_SEEDS:
+        z = random_net(random.Random(seed))
+        for mode, max_step in CORPUS_BUILDS.values():
+            lts = build_lts(z, mode, cap=2, max_step=max_step)
+            for system in (lts, weak_closure(lts, {"tau"})):
+                for i, state in enumerate(system.states):
+                    marking = system.marking(i)
+                    assert format_marking(system.places, state) == str(marking)
+                    assert state is OVERFLOW or state == tuple(map(marking.count, system.places))
 
 
 def test_lts_corpus_matches_recorded():
