@@ -10,6 +10,7 @@ malformed input exit 3, never a verdict's code.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -246,7 +247,10 @@ def _add_check_flags(parser):
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing never changes
+    it.  Each verb's parser holds its `cmd_*` function as the `fn` default."""
     parser = argparse.ArgumentParser(
         prog="opennet",
         description="Composition, bisimilarity and reconfiguration of marked open Petri nets",

@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from operator import add
 
 from . import multiset, semantics
 from .errors import (
@@ -143,17 +144,21 @@ def partition_refinement(lts_states: int, successors, rounds: list | None = None
     list of every round that changed the partition is appended to it, round
     1 first, so its last entry (if any) is the returned partition.
     """
-    # labels and targets per state as two flat tuples: a list of
-    # (label, target) pairs per state would raise the peak memory
-    labels = [tuple(lbl for lbl, _ in out) for out in successors]
+    # each label becomes a small id, equal labels sharing one; ids and targets
+    # are two flat tuples per state, as (label, target) pairs raise the peak
+    ids = {}
+    labels = [tuple(ids.setdefault(lbl, len(ids)) for lbl, _ in out) for out in successors]
     targets = [tuple(dst for _, dst in out) for out in successors]
+    width = len(ids)
     blocks = [0] * lts_states
     while True:
-        # blocks are numbered in order of first sight, so a partition that
-        # did not change keeps its ids
+        # a (label id, block) pair is packed into the one int id + block *
+        # width, so a signature is a set of ints; blocks are numbered in
+        # order of first sight, so a partition that did not change keeps its ids
+        scaled = [b * width for b in blocks]
         numbering, new_blocks = {}, []
         for own, lbls, dsts in zip(blocks, labels, targets):
-            sig = (own, frozenset(zip(lbls, [blocks[dst] for dst in dsts])))
+            sig = (own, frozenset(map(add, lbls, map(scaled.__getitem__, dsts))))
             new_blocks.append(numbering.setdefault(sig, len(numbering)))
         if new_blocks == blocks:
             return blocks

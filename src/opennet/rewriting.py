@@ -88,6 +88,7 @@ def find_matches(lhs: OpenNet, z: OpenNet) -> list:
     """
     pattern_trans = sorted(lhs.transitions)
     host_trans = sorted(z.transitions)
+    pattern_places, host_places = sorted(lhs.places), sorted(z.places)
     matches = []
 
     def unify_places(pairs, partial_places, used_places):
@@ -124,8 +125,9 @@ def find_matches(lhs: OpenNet, z: OpenNet) -> list:
 
     def extend_transitions(idx, trans_assign, used_trans, place_assign, used_places):
         if idx == len(pattern_trans):
-            free = [s for s in sorted(lhs.places) if s not in place_assign]
-            pool = [c for c in sorted(z.places) if c not in used_places]
+            # the isolated places of the pattern go to the unused host places
+            free = [s for s in pattern_places if s not in place_assign]
+            pool = [c for c in host_places if c not in used_places] if free else []
             for combo in itertools.permutations(pool, len(free)):
                 full_places = {**place_assign, **dict(zip(free, combo))}
                 candidate = Morphism(

@@ -10,17 +10,18 @@ silent labels, and projects/amalgamates steps across embeddings and pushouts
 of open nets.
 
 Markings are `Multiset`s at the API.  Step enumeration and the LTS build
-lower the net once per call to integer place indices, markings to tuples of
-counts and events to (index, count) pairs; an `Lts` keeps its states as
-those tuples, over its sorted `places`.  Labels are kept once each in the
-transition system's label table and edges carry their index, so the weak
-closure, the renaming through a correspondence and the bisimilarity check
-compare integers; only output looks the states and the labels up.
+lower the net once per call to sorted places, markings and each event's
+pre-set and change to tuples of counts over them; an `Lts` keeps its states
+as those tuples, over its `places`.  Labels are kept once each in the label
+table and edges carry their index, so the weak closure, the renaming through
+a correspondence and the bisimilarity check compare integers; only output
+looks the states and the labels up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import add, ge, sub
 
 from . import multiset
 from .composition import PushoutResult, places_square
@@ -169,43 +170,54 @@ def all_events(z: OpenNet) -> list:
 
 def _lower(z: OpenNet, u: Multiset):
     """Places in sorted order (u's included), events in `all_events` order,
-    each event's (place index, count) pre- and post-pairs, and u as a tuple
-    of counts."""
+    each event's pre-set `need` and its change post − pre `delta` as count
+    tuples over the places, a bitmask of each pre-set's places, and u as a
+    tuple of counts."""
     places = tuple(sorted(set(z.places) | u.support()))
     index = {s: i for i, s in enumerate(places)}
     events = all_events(z)
-    pre = [tuple((index[s], n) for s, n in event_pre(z, e).items()) for e in events]
-    post = [tuple((index[s], n) for s, n in event_post(z, e).items()) for e in events]
-    return places, events, pre, post, tuple(u.count(s) for s in places)
+    need, delta, masks = [], [], []
+    for e in events:
+        mask, pre, change = 0, [0] * len(places), [0] * len(places)
+        for s, n in event_pre(z, e).items():
+            i = index[s]
+            mask, pre[i], change[i] = mask | 1 << i, n, -n
+        for s, n in event_post(z, e).items():
+            change[index[s]] += n
+        need.append(tuple(pre))
+        delta.append(tuple(change))
+        masks.append(mask)
+    return places, events, need, delta, masks, tuple(u.count(s) for s in places)
 
 
-def _steps(pre, post, u: tuple, max_step: int) -> list:
+def _steps(need, delta, masks, u: tuple, max_step: int) -> list:
     """Every non-empty multiset of at most max_step events enabled at u.
 
     Returns (event indices ascending, target marking) pairs in (size,
     elements) order, wherever the target lands.  Every pre-set is drawn from
     u itself, so a post-set never enables another event of the same step.
+    Whole count tuples are compared and added with `map`, the marking left
+    free is made only for a step that can grow, and only a bound above 1
+    sorts: steps of one event come out in order.
     """
     found = []
+    # an event whose mask meets a place empty at u is skipped: free <= u
+    empty = ~sum(1 << i for i, n in enumerate(u) if n)
 
     def extend(first, chosen, free, target):
         # pre-order over ascending index sequences is lexicographic order
-        for e in range(first, len(pre)):
-            if all(free[i] >= n for i, n in pre[e]):
-                rest, after = list(free), list(target)
-                for i, n in pre[e]:
-                    rest[i] -= n
-                    after[i] -= n
-                for i, n in post[e]:
-                    after[i] += n
+        for e in range(first, len(need)):
+            if not masks[e] & empty and all(map(ge, free, need[e])):
                 step = chosen + (e,)
-                found.append((step, tuple(after)))
+                after = tuple(map(add, target, delta[e]))
+                found.append((step, after))
                 if len(step) < max_step:
-                    extend(e, step, rest, after)
+                    extend(e, step, tuple(map(sub, free, need[e])), after)
 
     if max_step > 0:
         extend(0, (), u, u)
-    found.sort(key=lambda step: len(step[0]))
+    if max_step > 1:
+        found.sort(key=lambda step: len(step[0]))
     return found
 
 
@@ -217,12 +229,12 @@ def enabled_steps(z: OpenNet, u: Multiset, mode: str = FIRING,
     step mode lists every non-empty multiset of at most max_step events
     whose target stays within the per-place cap.
     """
-    places, events, pre, post, marking = _lower(z, u)
+    places, events, need, delta, masks, marking = _lower(z, u)
     bound = 1 if mode == FIRING else max_step
     return [
         Step(events=Multiset(events[e] for e in chosen), source=u,
              target=Multiset(dict(zip(places, target))))
-        for chosen, target in _steps(pre, post, marking, bound)
+        for chosen, target in _steps(need, delta, masks, marking, bound)
         if mode == FIRING or max(target, default=0) <= cap
     ]
 
@@ -456,7 +468,7 @@ def build_lts(z: OpenNet, mode: str = FIRING, cap: int = DEFAULT_CAP,
     if cap < 0 or max_step < 0:
         raise InvalidBound(f"the cap ({cap}) and the step bound ({max_step}) must be non-negative")
     start = z.initial if root is None else root
-    places, events, pre, post, first = _lower(z, start)
+    places, events, need, delta, masks, first = _lower(z, start)
     if max(first, default=0) > cap:
         raise InitialExceedsCap(f"marking {start} exceeds the per-place cap {cap}")
     bound = 1 if mode == FIRING else max_step
@@ -470,7 +482,7 @@ def build_lts(z: OpenNet, mode: str = FIRING, cap: int = DEFAULT_CAP,
         if u is OVERFLOW:
             continue
         seen = set()
-        for chosen, target in _steps(pre, post, u, bound):
+        for chosen, target in _steps(need, delta, masks, u, bound):
             label = labels.get(chosen)
             if label is None:
                 obs = (observed[chosen[0]] if mode == FIRING
@@ -500,7 +512,9 @@ def weak_closure(lts: Lts, tau_labels) -> Lts:
     an edge (i, a, k) for every silent*;a;silent* path from i to k.  The
     silent label joins the label table unless it is there already; it
     observes nothing, so it is silent when a closure is closed again, and
-    that gives the closure back unchanged.
+    that gives the closure back unchanged.  A state's edges are ordered by
+    label (`label_sort_key`), then target: each is coded as the one int
+    rank * n + target, rank being its label's place in that order.
     """
     tau_labels = frozenset(tau_labels)
     n = len(lts.states)
@@ -512,12 +526,20 @@ def weak_closure(lts: Lts, tau_labels) -> Lts:
         observed = () if label is None else (label,) if lts.mode == FIRING else label.support()
         tau = [o.kind == "lab" and o.name in tau_labels for o in observed]
         kinds.append((all(tau), not any(tau)))
+    silent_label = None if lts.mode == FIRING else EMPTY
+    labels = lts.labels if silent_label in lts.labels else [*lts.labels, silent_label]
+    # order and index decode a code back into shared ints
+    order = sorted(range(len(labels)), key=lambda label: label_sort_key(labels[label]))
+    base = [0] * len(labels)
+    for rank, label in enumerate(order):
+        base[label] = rank * n
+    index = list(range(n))
     for src, label, dst in lts.edges:
         silent, visible = kinds[label]
         if silent:
             silent_succ[src].append(dst)
         elif visible:
-            visible_succ[src].append((label, dst))
+            visible_succ[src].append((base[label], dst))
 
     closure = []
     for i in range(n):
@@ -529,20 +551,16 @@ def weak_closure(lts: Lts, tau_labels) -> Lts:
                     queue.append(y)
         closure.append(reach)
 
-    silent_label = None if lts.mode == FIRING else EMPTY
-    labels = lts.labels if silent_label in lts.labels else [*lts.labels, silent_label]
-    silent = labels.index(silent_label)
-    keys = [label_sort_key(label) for label in labels]
+    silent = base[labels.index(silent_label)]
     edges = []
     for i in range(n):
         if lts.states[i] is OVERFLOW:
             continue
-        out = set()
+        out = set(map(silent.__add__, closure[i]))
         for j in closure[i]:
-            out.add((silent, j))
-            for label, d in visible_succ[j]:
-                out.update((label, k) for k in closure[d])
-        edges += [(i, label, k) for label, k in sorted(out, key=lambda e: (keys[e[0]], e[1]))]
+            for code, d in visible_succ[j]:
+                out.update(map(code.__add__, closure[d]))
+        edges += [(i, order[c // n], index[c % n]) for c in sorted(out)]
     return replace(lts, labels=labels, edges=edges)
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from opennet import documents
-from opennet.cli import main
+from opennet.cli import build_parser, main
 from opennet.multiset import Multiset
 
 from netlib import absorber, loop_span
@@ -154,6 +154,34 @@ def test_apply_with_match_index_out_of_range(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "match index 1 out of range" in captured.err
+
+
+# ------------------------------------------------------- one parser per process
+
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_two_identical_calls_print_the_same(capsys):
+    argv = _argv(["bisim", "chain3.json", "chain3_x.json", "--eta", "chain3.eta.json",
+                  "--cap", "3"])
+    assert main(argv) == 1
+    first = capsys.readouterr().out
+    assert main(argv) == 1
+    assert capsys.readouterr().out == first == (DATA / "bisim_chain3_vs_x.out").read_text(
+        encoding="utf-8")
+
+
+def test_a_rejected_call_leaves_the_command_line_usable(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bisim"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    argv = _argv(["bisim", "chain3.json", "chain3_copy.json", "--kind", "weak",
+                  "--tau", "a1", "--cap", "3"])
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (DATA / "bisim_chain3_vs_copy_weak.out").read_text(
+        encoding="utf-8")
 
 
 # ------------------------------------------------------------ malformed input

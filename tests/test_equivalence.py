@@ -398,6 +398,40 @@ def test_refinement_rounds_match_naive_depths_within_one_system():
     assert rounds_seen >= 300
 
 
+def _first_sight(blocks):
+    """A block list renumbered in order of first sight: equal iff the
+    partitions are equal."""
+    numbering = {}
+    return [numbering.setdefault(b, len(numbering)) for b in blocks]
+
+
+def test_refinement_sees_labels_only_through_equality():
+    # strings, tuples, None and multisets, one int per label for comparison;
+    # small systems over two of them make a (label, block) packing that is
+    # not one-to-one merge states
+    shaped = ["a", ("a", 1), None, Multiset({"a": 2}), Multiset.of("a"), (), 0]
+    rng = random.Random(31)
+    rounds_seen = 0
+    for k in range(240):
+        labels, size = (shaped, 12) if k % 2 else (shaped[2:4], 5)
+        lts = random_lts(rng, max_states=size, labels=labels, max_out=3)
+        n, succ = len(lts.states), successors(lts)
+        by_index = [[(shaped.index(label), dst) for label, dst in out] for out in succ]
+        rounds, int_rounds = [], []
+        blocks = partition_refinement(n, succ, rounds)
+        int_blocks = partition_refinement(n, by_index, int_rounds)
+        assert _first_sight(blocks) == _first_sight(int_blocks)
+        assert ([_first_sight(r) for r in rounds] == [_first_sight(r) for r in int_rounds])
+        depths = naive_separation_depths(n, succ, n, succ)
+        assert len(rounds) == max(depths.values(), default=0)
+        for k, round_blocks in enumerate(rounds, start=1):
+            for i in range(n):
+                for j in range(n):
+                    assert (round_blocks[i] == round_blocks[j]) == (depths.get((i, j), k + 1) > k)
+        rounds_seen += len(rounds)
+    assert rounds_seen >= 120
+
+
 def _random_lts_pairs(count=240):
     """Seeded pairs over one alphabet; every sixth pair has an edgeless side."""
     rng = random.Random(7)

@@ -20,6 +20,7 @@ from opennet.semantics import (
     FIRING,
     OVERFLOW,
     STEP,
+    Lts,
     Obs,
     Step,
     StepSplit,
@@ -510,6 +511,21 @@ def test_enabled_steps_match_the_oracle_on_random_nets():
     assert steps >= 3000 and overflowing >= 300
 
 
+def test_enabled_steps_with_a_weight_two_arc_and_a_self_loop():
+    # t0 needs two tokens on p; t1 gives back what it takes; t2 keeps p
+    z = build_net(["p", "q", "r"],
+                  {"t0": ("a", {"p": 2}, {"q": 1}), "t1": ("b", {"q": 1}, {"q": 1}),
+                   "t2": ("c", {"p": 1, "q": 1}, {"p": 1, "r": 1})},
+                  open_in=["p"], open_out=["r"], initial={"p": 2})
+    steps = 0
+    for u in all_markings(z.places, 3):
+        for mode, max_step in ((FIRING, 6), (STEP, 1), (STEP, 2), (STEP, 4)):
+            expected = oracle_steps(z, u, mode, 2, max_step)
+            assert enabled_steps(z, u, mode, cap=2, max_step=max_step) == expected
+            steps += len(expected)
+    assert steps >= 1000
+
+
 def test_post_set_never_enables_a_step_partner():
     z = build_net(["p0", "p1", "p2"],
                   {"t0": ("a", {"p0": 1}, {"p1": 1}), "t1": ("b", {"p1": 1}, {"p2": 1})},
@@ -555,6 +571,24 @@ def test_weak_closure_matches_the_oracle():
                 mixed += sum(len({o.name == "tau" for o in label.support()}) == 2
                              for _, label, _ in strong.labelled_edges())
     assert mixed >= 2000
+
+
+def test_weak_closure_orders_edges_by_label_key_not_by_table_position():
+    # the label table runs against label_sort_key order, the silent label
+    # the closure appends sorts first, and state 5 overflowed
+    labels = [Obs("plus", "p"), Obs("minus", "q"), Obs("lab", "tau"), Obs("lab", "b"),
+              Obs("lab", "a")]
+    assert sorted(labels, key=label_sort_key) == labels[::-1]
+    plus_p, minus_q, tau, b, a = range(len(labels))
+    edges = [(0, tau, 1), (1, tau, 2), (2, tau, 0), (0, b, 3), (1, a, 4), (2, plus_p, 5),
+             (3, minus_q, 0), (3, tau, 4), (4, a, 1), (4, tau, 3), (1, b, 0)]
+    lts = Lts(states=[(0,), (1,), (2,), (3,), (4,), OVERFLOW], places=("s",),
+              labels=labels, edges=sorted(edges), initial=0, mode=FIRING, cap=1)
+    weak = weak_closure(lts, {"tau"})
+    expected = sorted(naive_weak_closure(lts, {"tau"}),
+                      key=lambda e: (e[0], label_sort_key(e[1]), e[2]))
+    assert weak.labelled_edges() == expected
+    assert weak.labels == labels + [None] and len(expected) >= 40
 
 
 @pytest.mark.parametrize("mode, max_step", [(FIRING, 1), (STEP, 2)])
