@@ -10,9 +10,9 @@ silent labels, and projects/amalgamates steps across embeddings and pushouts
 of open nets.
 
 Markings are `Multiset`s at the API.  Step enumeration and the LTS build
-lower the net once per call to sorted places, markings and each event's
-pre-set and change to tuples of counts over them; an `Lts` keeps its states
-as those tuples, over its `places`.  Labels are kept once each in the label
+lower the net once per call: a marking, and each event's pre-set and change,
+become one int with a field of counts per place in sorted order (`_lower`).
+An `Lts` keeps its states decoded, as tuples of counts over its `places`.  Labels are kept once each in the label
 table and edges carry their index, so the weak closure, the renaming through
 a correspondence and the bisimilarity check compare integers; only output
 looks the states and the labels up.
@@ -20,8 +20,8 @@ looks the states and the labels up.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
-from operator import add, ge, sub
 
 from . import multiset
 from .composition import PushoutResult, places_square
@@ -168,54 +168,83 @@ def all_events(z: OpenNet) -> list:
     return sorted(events)
 
 
-def _lower(z: OpenNet, u: Multiset):
-    """Places in sorted order (u's included), events in `all_events` order,
-    each event's pre-set `need` and its change post − pre `delta` as count
-    tuples over the places, a bitmask of each pre-set's places, and u as a
-    tuple of counts."""
+def _lower(z: OpenNet, u: Multiset, cap: int, max_step: int):
+    """The places in sorted order (u's included), the events in `all_events`
+    order, and the net and u packed: a marking is one int whose field i,
+    `size` bytes wide, holds the count of place i.  `size` is the smallest of
+    1, 2, 4, 8, 16, ... bytes that keeps below the field's top bit the
+    largest pre weight and every count a step from u reaches, at most
+    max(cap, u's counts) plus max_step times the largest post weight.  Each
+    event gets its pre-set `need`, its change post − pre `delta` (a signed
+    int) and the top bits `pmask` of its pre-set places; `guard` holds every
+    field's top bit, `ones` 2^(w−1) − 1 and `over` 2^(w−1) − 1 − cap in
+    every w-bit field, and `decode` turns a packed marking into its counts.
+    """
     places = tuple(sorted(set(z.places) | u.support()))
     index = {s: i for i, s in enumerate(places)}
     events = all_events(z)
-    need, delta, masks = [], [], []
-    for e in events:
-        mask, pre, change = 0, [0] * len(places), [0] * len(places)
-        for s, n in event_pre(z, e).items():
-            i = index[s]
-            mask, pre[i], change[i] = mask | 1 << i, n, -n
-        for s, n in event_post(z, e).items():
-            change[index[s]] += n
-        need.append(tuple(pre))
-        delta.append(tuple(change))
-        masks.append(mask)
-    return places, events, need, delta, masks, tuple(u.count(s) for s in places)
+    pres = [event_pre(z, e).items() for e in events]
+    posts = [event_post(z, e).items() for e in events]
+    top = max([cap, *(c for _, c in u.items()), *(c for pre in pres for _, c in pre)])
+    top += max_step * max((c for post in posts for _, c in post), default=0)
+    size = 1
+    while top >> 8 * size - 1:
+        size *= 2
+    width, n = 8 * size, len(places)
+    field = sum(1 << width * i for i in range(n))  # 1 in every field
+    guard = field << width - 1
+    ones = guard - field
+
+    def pack(items) -> int:
+        return sum(c << width * index[s] for s, c in items)
+
+    if size <= 8:  # a machine word per field: read them all at once
+        fmt, little = {1: "B", 2: "H", 4: "I", 8: "Q"}[size], sys.byteorder == "little"
+
+        def decode(m: int) -> tuple:
+            fields = memoryview(m.to_bytes(size * n, sys.byteorder)).cast(fmt)
+            return tuple(fields if little else fields[::-1])
+    else:
+        def decode(m: int) -> tuple:
+            return tuple(m >> width * i & (1 << width) - 1 for i in range(n))
+
+    need = [pack(pre) for pre in pres]
+    delta = [pack(post) - pre for post, pre in zip(posts, need)]
+    pmask = [(pre + ones) & guard for pre in need]
+    return (places, events, need, delta, pmask, guard, ones, ones - cap * field,
+            pack(u.items()), decode)
 
 
-def _steps(need, delta, masks, u: tuple, max_step: int) -> list:
-    """Every non-empty multiset of at most max_step events enabled at u.
+def _steps(need, delta, pmask, guard, ones, u: int, max_step: int) -> list:
+    """Every non-empty multiset of at most max_step events enabled at the
+    packed marking u.
 
-    Returns (event indices ascending, target marking) pairs in (size,
+    Returns (event indices ascending, packed target) pairs in (size,
     elements) order, wherever the target lands.  Every pre-set is drawn from
     u itself, so a post-set never enables another event of the same step.
-    Whole count tuples are compared and added with `map`, the marking left
-    free is made only for a step that can grow, and only a bound above 1
-    sorts: steps of one event come out in order.
+    No count reaches a field's top bit (see `_lower`), so free − need and
+    target + delta never borrow from or carry into a neighbouring field, and
+    with every top bit set in the marking `free` left over, an event is
+    enabled when free − need keeps them all.  An event with a pre-set place
+    empty at u is skipped at once, and only a bound above 1 sorts: steps of
+    one event come out in order.
     """
     found = []
-    # an event whose mask meets a place empty at u is skipped: free <= u
-    empty = ~sum(1 << i for i, n in enumerate(u) if n)
+    empty = guard & ~(u + ones)  # the top bits of the places empty at u
+    events = len(need)
 
     def extend(first, chosen, free, target):
         # pre-order over ascending index sequences is lexicographic order
-        for e in range(first, len(need)):
-            if not masks[e] & empty and all(map(ge, free, need[e])):
+        for e in range(first, events):
+            if not pmask[e] & empty and (rest := free - need[e]) & guard == guard:
                 step = chosen + (e,)
-                after = tuple(map(add, target, delta[e]))
+                after = target + delta[e]
                 found.append((step, after))
                 if len(step) < max_step:
-                    extend(e, step, tuple(map(sub, free, need[e])), after)
+                    extend(e, step, rest, after)
 
     if max_step > 0:
-        extend(0, (), u, u)
+        extend(0, (), u | guard, u)
     if max_step > 1:
         found.sort(key=lambda step: len(step[0]))
     return found
@@ -229,13 +258,14 @@ def enabled_steps(z: OpenNet, u: Multiset, mode: str = FIRING,
     step mode lists every non-empty multiset of at most max_step events
     whose target stays within the per-place cap.
     """
-    places, events, need, delta, masks, marking = _lower(z, u)
     bound = 1 if mode == FIRING else max_step
+    places, events, need, delta, pmask, guard, ones, over, marking, decode = _lower(
+        z, u, cap, bound)
     return [
         Step(events=Multiset(events[e] for e in chosen), source=u,
-             target=Multiset(dict(zip(places, target))))
-        for chosen, target in _steps(need, delta, masks, marking, bound)
-        if mode == FIRING or max(target, default=0) <= cap
+             target=Multiset(dict(zip(places, decode(target)))))
+        for chosen, target in _steps(need, delta, pmask, guard, ones, marking, bound)
+        if mode == FIRING or not (target + over) & guard
     ]
 
 
@@ -463,15 +493,20 @@ def build_lts(z: OpenNet, mode: str = FIRING, cap: int = DEFAULT_CAP,
     Any step that would leave the cap region leads to the absorbing overflow
     state, which has no outgoing edges.  Exploration order is canonical, so
     repeated runs yield identical state and edge lists.  A firing is the
-    step of one event, so firing mode explores the steps of size 1.
+    step of one event, so firing mode explores the steps of size 1.  The
+    search keys its states by packed marking (`_lower`): a target is over
+    the cap when (target + over) sets a top bit.  Once the search is done,
+    its index is dropped and each state is decoded, in place, into the
+    tuple of counts that `Lts` keeps.
     """
     if cap < 0 or max_step < 0:
         raise InvalidBound(f"the cap ({cap}) and the step bound ({max_step}) must be non-negative")
     start = z.initial if root is None else root
-    places, events, need, delta, masks, first = _lower(z, start)
-    if max(first, default=0) > cap:
+    if any(n > cap for _, n in start.items()):
         raise InitialExceedsCap(f"marking {start} exceeds the per-place cap {cap}")
     bound = 1 if mode == FIRING else max_step
+    places, events, need, delta, pmask, guard, ones, over, first, decode = _lower(
+        z, start, cap, bound)
     observed = [observe(z, e) for e in events]
     table = {}  # label -> label index; equal labels share one index
     labels = {}  # event indices -> label index
@@ -482,21 +517,26 @@ def build_lts(z: OpenNet, mode: str = FIRING, cap: int = DEFAULT_CAP,
         if u is OVERFLOW:
             continue
         seen = set()
-        for chosen, target in _steps(need, delta, masks, u, bound):
+        for chosen, target in _steps(need, delta, pmask, guard, ones, u, bound):
             label = labels.get(chosen)
             if label is None:
                 obs = (observed[chosen[0]] if mode == FIRING
                        else Multiset(observed[e] for e in chosen))
                 label = labels[chosen] = table.setdefault(obs, len(table))
-            if max(target, default=0) > cap:
+            if (target + over) & guard:
                 target = OVERFLOW
             dst = index.get(target)
             if dst is None:
                 dst = index[target] = len(states)
                 states.append(target)
-            if (label, dst) not in seen:
-                seen.add((label, dst))
-                edges.append((src, label, dst))
+            edge = (src, label, dst)
+            if edge not in seen:
+                seen.add(edge)
+                edges.append(edge)
+    del index, seen
+    for i, state in enumerate(states):
+        if state is not OVERFLOW:
+            states[i] = decode(state)
     return Lts(states, places, list(table), edges, initial=0, mode=mode, cap=cap)
 
 

@@ -16,10 +16,12 @@ import itertools
 import random
 
 from opennet import build_net, identity
+from opennet.errors import NotEnabled
 from opennet.multiset import Multiset
 from opennet.nets import Correspondence, Morphism, OpenNet, PetriNet, Transition
 from opennet import nets as netmod
 from opennet.rewriting import Rule
+from opennet.semantics import FIRING, OVERFLOW, Step, all_events, fire, observe
 
 # ---------------------------------------------------------------- fixtures
 
@@ -33,6 +35,18 @@ def agency_a() -> OpenNet:
             "tH": ("bookHotel", {"p2": 1}, {"q2": 1}),
         },
         initial={"p1": 1, "p2": 1},
+    )
+
+
+def weighted(open_in=True) -> OpenNet:
+    """t takes three tokens from a and puts two on b, u moves one back;
+    b is output-open, and a input-open unless open_in is false."""
+    return build_net(
+        places=["a", "b"],
+        transitions={"t": ("t", {"a": 3}, {"b": 2}), "u": ("u", {"b": 1}, {"a": 1})},
+        open_in=["a"] if open_in else [],
+        open_out=["b"],
+        initial={"a": 3},
     )
 
 
@@ -527,6 +541,55 @@ def chain_x(n: int) -> OpenNet:
 
 
 # ---------------------------------------------------------------- oracles
+
+
+def oracle_steps(z, u, mode, cap, max_step):
+    """Every multiset of at most max_step events (one in firing mode) that
+    `fire` executes at u, in (size, elements) order; step mode keeps only
+    targets within the cap.  A size with no enabled step ends the search:
+    each larger multiset contains one of that size and needs at least as
+    much."""
+    bound = 1 if mode == FIRING else max_step
+    found = []
+    for size in range(1, bound + 1):
+        enabled = False
+        for combo in itertools.combinations_with_replacement(all_events(z), size):
+            events = Multiset(combo)
+            try:
+                target = fire(z, u, events)
+            except NotEnabled:
+                continue
+            enabled = True
+            if mode == FIRING or all(c <= cap for _, c in target.items()):
+                found.append(Step(events=events, source=u, target=target))
+        if not enabled:
+            break
+    return found
+
+
+def oracle_lts(z, mode, cap, max_step, root=None):
+    """`build_lts` by breadth-first search over `oracle_steps`: the states as
+    `Multiset`s (or `OVERFLOW`, where every target beyond the cap goes) and
+    the edges as (source, label, target), each (label, target) once per
+    source in the order first found."""
+    start = z.initial if root is None else root
+    states, index, edges = [start], {start: 0}, []
+    for src, u in enumerate(states):
+        if u is OVERFLOW:
+            continue
+        seen = set()
+        for step in oracle_steps(z, u, mode, float("inf"), max_step):
+            observed = Multiset(observe(z, e) for e in step.events.elements())
+            label = next(observed.elements()) if mode == FIRING else observed
+            target = (OVERFLOW if any(c > cap for _, c in step.target.items())
+                      else step.target)
+            if target not in index:
+                index[target] = len(states)
+                states.append(target)
+            if (label, index[target]) not in seen:
+                seen.add((label, index[target]))
+                edges.append((src, label, index[target]))
+    return states, edges
 
 
 def naive_bisimulation(lts_states: int, successors) -> set:

@@ -5,7 +5,6 @@ data/lts_corpus.json, recorded once and kept fixed; running this file as a
 script writes that file again.
 """
 
-import itertools
 import json
 import random
 from pathlib import Path
@@ -17,6 +16,7 @@ from opennet.errors import IllegalEvent, InitialExceedsCap, InvalidBound, NotEna
 from opennet.multiset import EMPTY, Multiset
 from opennet.nets import Morphism
 from opennet.semantics import (
+    DEFAULT_CAP,
     FIRING,
     OVERFLOW,
     STEP,
@@ -24,7 +24,6 @@ from opennet.semantics import (
     Obs,
     Step,
     StepSplit,
-    all_events,
     build_lts,
     compose_steps,
     decompose_step,
@@ -55,11 +54,14 @@ from netlib import (
     chain,
     loop_span,
     naive_weak_closure,
+    oracle_lts,
+    oracle_steps,
     random_composable_span,
     random_marking,
     random_net,
     silent_then_act,
     two_sided_span,
+    weighted,
 )
 
 
@@ -478,24 +480,6 @@ def test_dot_quotes_names_and_escapes_labels():
 # ------------------------------------------------------- step enumeration
 
 
-def oracle_steps(z, u, mode, cap, max_step):
-    """Every multiset of at most max_step events (one in firing mode) that
-    `fire` executes at u, in (size, elements) order; step mode keeps only
-    targets within the cap."""
-    bound = 1 if mode == FIRING else max_step
-    found = []
-    for size in range(1, bound + 1):
-        for combo in itertools.combinations_with_replacement(all_events(z), size):
-            events = Multiset(combo)
-            try:
-                target = fire(z, u, events)
-            except NotEnabled:
-                continue
-            if mode == FIRING or all(c <= cap for _, c in target.items()):
-                found.append(Step(events=events, source=u, target=target))
-    return found
-
-
 def test_enabled_steps_match_the_oracle_on_random_nets():
     rng = random.Random(5)
     steps = overflowing = 0
@@ -524,6 +508,56 @@ def test_enabled_steps_with_a_weight_two_arc_and_a_self_loop():
             assert enabled_steps(z, u, mode, cap=2, max_step=max_step) == expected
             steps += len(expected)
     assert steps >= 1000
+
+
+# counts on both sides of each packed field width (1, 2, 4, 8 and 16
+# bytes), the last one wider than any machine word
+CORNER_COUNTS = (2, 121, 122, 127, 128, 300, 2**30, 2**31, 2**70)
+
+
+@pytest.mark.parametrize("tokens", CORNER_COUNTS)
+def test_enabled_steps_match_the_oracle_at_large_counts(tokens):
+    z = weighted()
+    for u in (Multiset({"a": tokens}), Multiset({"a": tokens, "b": tokens})):
+        for cap in (2, tokens):
+            for mode, max_step in ((FIRING, 6), (STEP, 1), (STEP, 2), (STEP, 3)):
+                expected = oracle_steps(z, u, mode, cap, max_step)
+                assert enabled_steps(z, u, mode, cap=cap, max_step=max_step) == expected
+                assert expected or mode == STEP and cap == 2
+
+
+@pytest.mark.parametrize("mode", [FIRING, STEP])
+def test_build_lts_refuses_a_huge_initial_count(mode):
+    z = build_net(["s"], {}, open_out=["s"], initial={"s": 2**70})
+    with pytest.raises(InitialExceedsCap):
+        build_lts(z, mode, cap=4)
+
+
+def test_build_lts_matches_the_oracle_lts():
+    # steps of up to 200 `+a` put up to 203 tokens on a, beyond a 1-byte
+    # field, and a pre weight of 200 needs a 2-byte field at any cap
+    feed = build_net(["a", "b"], {}, open_in=["a"])
+    heavy = build_net(["a"], {"t": ("t", {"a": 200}, {})}, open_in=["a"])
+    for cap in range(4):
+        for root in (Multiset(), Multiset({"a": cap, "b": cap})):
+            for z, mode, max_step in ((weighted(), FIRING, 6),
+                                      *((weighted(), STEP, k) for k in range(1, 5)),
+                                      (weighted(open_in=False), STEP, 200),
+                                      (feed, STEP, 200), (heavy, FIRING, 1)):
+                lts = build_lts(z, mode, cap=cap, max_step=max_step, root=root)
+                states, edges = oracle_lts(z, mode, cap, max_step, root)
+                assert [lts.marking(i) for i in range(len(lts.states))] == states
+                assert lts.labelled_edges() == edges
+                assert all(s is OVERFLOW or len(s) == len(lts.places) for s in lts.states)
+
+
+def test_build_lts_on_a_net_with_no_places():
+    assert build_lts(build_net([], {}), STEP).states == [()]
+    z = build_net([], {"t": ("a", {}, {})})
+    lts = build_lts(z, STEP, max_step=3)
+    assert lts.states == [()] and lts.places == ()
+    assert lts.labelled_edges() == oracle_lts(z, STEP, DEFAULT_CAP, 3)[1]
+    assert [len(label) for label in lts.labels] == [1, 2, 3]
 
 
 def test_post_set_never_enables_a_step_partner():
