@@ -82,12 +82,11 @@ def check_composable(f1: Morphism, f2: Morphism) -> bool:
     return not composability_failures(f1, f2)
 
 
-def _glued_name(leg: Morphism, prefix: str, item: str, kind: str) -> str:
-    mapping = leg.place_map if kind == "place" else leg.trans_map
-    for x0, x in mapping.items():
-        if x == item:
-            return x0
-    return prefix + item
+def _glued_names(items, leg_map, prefix: str) -> dict:
+    """The glued name of each item of a leg's target: the interface item
+    that the leg maps onto it, or else its own id after `prefix`."""
+    back = {x: x0 for x0, x in leg_map.items()}
+    return {x: back[x] if x in back else prefix + x for x in items}
 
 
 def pushout(f1: Morphism, f2: Morphism) -> PushoutResult:
@@ -103,10 +102,10 @@ def pushout(f1: Morphism, f2: Morphism) -> PushoutResult:
         raise NotComposable("; ".join(failures))
 
     z0, z1, z2 = f1.source, f1.target, f2.target
-    a1_places = {s: _glued_name(f1, LEFT_PREFIX, s, "place") for s in z1.places}
-    a2_places = {s: _glued_name(f2, RIGHT_PREFIX, s, "place") for s in z2.places}
-    a1_trans = {t: _glued_name(f1, LEFT_PREFIX, t, "trans") for t in z1.transitions}
-    a2_trans = {t: _glued_name(f2, RIGHT_PREFIX, t, "trans") for t in z2.transitions}
+    a1_places = _glued_names(z1.places, f1.place_map, LEFT_PREFIX)
+    a2_places = _glued_names(z2.places, f2.place_map, RIGHT_PREFIX)
+    a1_trans = _glued_names(z1.transitions, f1.trans_map, LEFT_PREFIX)
+    a2_trans = _glued_names(z2.transitions, f2.trans_map, RIGHT_PREFIX)
 
     places = frozenset(a1_places.values()) | frozenset(a2_places.values())
     transitions = {}

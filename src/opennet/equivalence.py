@@ -95,10 +95,6 @@ class BisimVerdict:
     touched_overflow: bool
     eta: Correspondence | None = None
 
-    @property
-    def bisimilar(self) -> bool:
-        return self.result == BISIMILAR
-
 
 def out_degree(z: OpenNet, s: str) -> int:
     """The largest number of tokens one extended event can remove from s."""

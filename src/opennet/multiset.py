@@ -144,8 +144,11 @@ def format_counts(pairs) -> str:
 
 
 def _wrap(data: dict) -> Multiset:
-    ms = Multiset()
-    object.__setattr__(ms, "_entries", data)
+    """The trusted path: `data` maps items to positive ints and is not shared.
+    The object is made without `__init__`, so nothing is checked or copied."""
+    ms = object.__new__(Multiset)
+    ms._entries = data
+    ms._hash = None
     return ms
 
 

@@ -71,9 +71,10 @@ class OpenNet:
         """place -> (producers, consumers), for every place some arc touches."""
         arcs = {}
         for t, tr in self.net.transitions.items():
-            for side, marking in enumerate((tr.post, tr.pre)):
-                for s in marking.support():
-                    arcs.setdefault(s, ([], []))[side].append(t)
+            for s in tr.post._entries:
+                arcs.setdefault(s, ([], []))[0].append(t)
+            for s in tr.pre._entries:
+                arcs.setdefault(s, ([], []))[1].append(t)
         return {s: (frozenset(p), frozenset(c)) for s, (p, c) in arcs.items()}
 
     def place_producers(self, s: str) -> frozenset:
@@ -217,14 +218,18 @@ class ValidationReport:
 def validate_net(z: OpenNet) -> ValidationReport:
     """Check every structural invariant of an open net; empty report iff ok."""
     report = ValidationReport()
-    clash = z.places & frozenset(z.transitions)
-    for item in sorted(clash):
+    places = z.places
+    for item in sorted(places.intersection(z.transitions)):
         report.add("IdClash", f"{item!r} is declared both as a place and as a transition")
-    for t in sorted(z.transitions):
+    # one superset test per arc side; only the transitions that fail it are
+    # sorted and reported
+    stray = [t for t, tr in z.transitions.items()
+             if not (places.issuperset(tr.pre._entries) and places.issuperset(tr.post._entries))]
+    for t in sorted(stray):
         tr = z.transitions[t]
-        for s in sorted(tr.pre.support() - z.places):
+        for s in sorted(tr.pre.support() - places):
             report.add("UnknownPlace", f"pre-set of {t!r} references undeclared place {s!r}")
-        for s in sorted(tr.post.support() - z.places):
+        for s in sorted(tr.post.support() - places):
             report.add("UnknownPlace", f"post-set of {t!r} references undeclared place {s!r}")
     for s in sorted(z.open_in - z.places):
         report.add("OpenPlaceNotDeclared", f"input-open place {s!r} is not declared")

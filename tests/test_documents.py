@@ -1,5 +1,7 @@
 """The JSON documents: emit(parse(text)) reproduces every canonical document."""
 
+import collections
+import enum
 import json
 import random
 import re
@@ -76,6 +78,78 @@ def test_null_fields_mean_no_fields():
         documents.parse_net(json.dumps(doc))
 
 
+def _net_doc(places=None, transitions=None):
+    """A well-formed net `n`, with its places or transitions replaced."""
+    return {
+        "format": documents.NET_FORMAT,
+        "name": "n",
+        "places": places if places is not None else {
+            "p": {"open_in": True, "initial": 1}, "q": {"open_out": True}},
+        "transitions": transitions if transitions is not None else {
+            "t": {"label": "a", "pre": {"p": 1}, "post": {"q": 1}}},
+    }
+
+
+def _transition(**fields):
+    return {"t": {"label": "a", "pre": {"p": 1}, "post": {"q": 1}, **fields}}
+
+
+MALFORMED_NETS = [
+    (_net_doc(places={"": {}}), "place id must be a non-empty string, got ''"),
+    (_net_doc(places={"L:p": {}}), "place id 'L:p' uses the reserved prefix 'L:'"),
+    (_net_doc(places={"R:p": {}}), "place id 'R:p' uses the reserved prefix 'R:'"),
+    (_net_doc(transitions={"": {"label": "a"}}),
+     "transition id must be a non-empty string, got ''"),
+    (_net_doc(transitions={"L:t": {"label": "a"}}),
+     "transition id 'L:t' uses the reserved prefix 'L:'"),
+    (_net_doc(transitions={"R:t": {"label": "a"}}),
+     "transition id 'R:t' uses the reserved prefix 'R:'"),
+    (_net_doc(places={"p": {"open_in": True, "size": 1, "colour": "red"}}),
+     "place 'p' has unknown fields ['colour', 'size']"),
+    (_net_doc(transitions=_transition(guard=True)),
+     "transition 't' has unknown fields ['guard']"),
+    (_net_doc(places={"p": {"open_in": 1}}), "open_in of place 'p' must be true or false"),
+    (_net_doc(places={"p": {"open_out": "yes"}}), "open_out of place 'p' must be true or false"),
+    (_net_doc(places={"p": {"initial": -1}}),
+     "initial count of place 'p' must be a non-negative integer"),
+    (_net_doc(places={"p": {"initial": True}}),
+     "initial count of place 'p' must be a non-negative integer"),
+    (_net_doc(transitions=_transition(pre={"p": True})),
+     "pre-set of 't' count for 'p' must be a non-negative integer"),
+    (_net_doc(transitions=_transition(pre={"p": 1, "q": -1})),
+     "pre-set of 't' count for 'q' must be a non-negative integer"),
+    (_net_doc(transitions=_transition(post={"q": 1.0})),
+     "post-set of 't' count for 'q' must be a non-negative integer"),
+    (_net_doc(transitions=_transition(pre=["p"])),
+     "pre-set of 't' must be an object mapping places to counts"),
+    (_net_doc(transitions=_transition(label="")), "transition 't' needs a non-empty string label"),
+    (_net_doc(transitions=_transition(pre={"x": 1})),
+     "net 'n' is not well-formed:\n"
+     "UnknownPlace: pre-set of 't' references undeclared place 'x'"),
+    (_net_doc(transitions={"p": {"label": "a", "pre": {"p": 1}, "post": {"y": 2, "x": 1}}}),
+     "net 'n' is not well-formed:\n"
+     "IdClash: 'p' is declared both as a place and as a transition\n"
+     "UnknownPlace: post-set of 'p' references undeclared place 'x'\n"
+     "UnknownPlace: post-set of 'p' references undeclared place 'y'"),
+    # the first fault in document order is the one reported
+    (_net_doc(places={"p": {"open_in": 1, "colour": "red"}, "L:q": {}}),
+     "place 'p' has unknown fields ['colour']"),
+    (_net_doc(places={"q": {"initial": -1}}, transitions={"L:t": {}}),
+     "initial count of place 'q' must be a non-negative integer"),
+    (_net_doc(transitions=_transition(label="", pre={"p": -1})),
+     "transition 't' needs a non-empty string label"),
+    (_net_doc(transitions=_transition(pre={"p": -1}, post={"q": -1})),
+     "pre-set of 't' count for 'p' must be a non-negative integer"),
+]
+
+
+@pytest.mark.parametrize("doc, message", MALFORMED_NETS)
+def test_malformed_net_documents_name_their_fault(doc, message):
+    with pytest.raises(documents.DocumentError) as refused:
+        documents.parse_net(json.dumps(doc))
+    assert str(refused.value) == message
+
+
 # -------------------------------------------------- the canonical writer
 
 WRITER = settings(derandomize=True, deadline=None, database=None, max_examples=400)
@@ -85,16 +159,35 @@ WRITER = settings(derandomize=True, deadline=None, database=None, max_examples=4
 awkward = st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n\t", "é", "\u2028",
                            "\ud800", "\U0001f600", "p0", ""])
 str_keys = st.text(max_size=4) | awkward
+
+
+# subclasses of the types json writes: json takes each as its base type
+class Flag(enum.IntEnum):
+    OFF = 0
+    ON = 7
+
+
+class Name(str):
+    pass
+
+
+Pair = collections.namedtuple("Pair", "first second")
+
 scalars = (st.none() | st.booleans() | st.integers() | st.sampled_from([-2**70, 10**40])
-           | st.floats() | st.sampled_from([float("nan"), float("inf"), -0.0]) | str_keys)
+           | st.floats() | st.sampled_from([float("nan"), float("inf"), -0.0]) | str_keys
+           | st.sampled_from(list(Flag)) | str_keys.map(Name))
 
 
 def _containers(inner):
     return (st.lists(inner, max_size=4)
             | st.lists(inner, max_size=4).map(tuple)
+            | st.tuples(inner, inner).map(lambda t: Pair(*t))
             | st.dictionaries(str_keys, inner, max_size=4)
+            | st.dictionaries(str_keys | str_keys.map(Name), inner, max_size=4).map(
+                collections.OrderedDict)
             # json turns these keys into strings; mixed kinds refuse to sort
-            | st.dictionaries(st.integers() | st.booleans() | st.none(), inner, max_size=3)
+            | st.dictionaries(st.integers() | st.booleans() | st.none()
+                              | st.sampled_from(list(Flag)), inner, max_size=3)
             | st.dictionaries(st.floats(), inner, max_size=3))
 
 
