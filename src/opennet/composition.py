@@ -60,19 +60,15 @@ def composability_failures(f1: Morphism, f2: Morphism) -> list:
         (f1, f2, "first", "second"),
         (f2, f1, "second", "first"),
     )
+    verbs = ("receives tokens from", "loses tokens to")
     for fa, fb, name_a, name_b in pairs:
-        for s in sorted(nets.in_places(fa)):
-            if fb.place_map[s] not in fb.target.open_in:
-                failures.append(
-                    f"interface place {s!r} receives tokens from the {name_a} net but its "
-                    f"image {fb.place_map[s]!r} is not input open in the {name_b} net"
-                )
-        for s in sorted(nets.out_places(fa)):
-            if fb.place_map[s] not in fb.target.open_out:
-                failures.append(
-                    f"interface place {s!r} loses tokens to the {name_a} net but its "
-                    f"image {fb.place_map[s]!r} is not output open in the {name_b} net"
-                )
+        for (polarity, word, _), verb in zip(nets.DIRECTIONS, verbs):
+            for s in sorted(nets.gained_places(fa, polarity)):
+                if fb.place_map[s] not in fb.target.opens(polarity):
+                    failures.append(
+                        f"interface place {s!r} {verb} the {name_a} net but its "
+                        f"image {fb.place_map[s]!r} is not {word} open in the {name_b} net"
+                    )
     return failures
 
 
@@ -122,25 +118,19 @@ def pushout(f1: Morphism, f2: Morphism) -> PushoutResult:
             post=multiset.image(a2_places, z2.post(t)),
         )
 
-    open_in = set()
-    open_out = set()
-    inv1 = {v: k for k, v in a1_places.items()}
-    inv2 = {v: k for k, v in a2_places.items()}
-    for s3 in places:
-        pre1 = inv1.get(s3)
-        pre2 = inv2.get(s3)
-        if (pre1 is None or pre1 in z1.open_in) and (pre2 is None or pre2 in z2.open_in):
-            open_in.add(s3)
-        if (pre1 is None or pre1 in z1.open_out) and (pre2 is None or pre2 in z2.open_out):
-            open_out.add(s3)
+    # a glued place is open iff no preimage on either side is closed
+    open_in, open_out = (
+        places.difference(a1_places[s] for s in z1.places - z1.opens(polarity))
+        .difference(a2_places[s] for s in z2.places - z2.opens(polarity))
+        for polarity in ("+", "-"))
 
     marking_square = SetPushout(f1=f1.place_map, f2=f2.place_map, a1=a1_places, a2=a2_places)
     initial = multiset.join(z1.initial, z2.initial, marking_square)
 
     z3 = OpenNet(
         net=PetriNet(places=places, transitions=transitions),
-        open_in=frozenset(open_in),
-        open_out=frozenset(open_out),
+        open_in=open_in,
+        open_out=open_out,
         initial=initial,
     )
     alpha1 = Morphism(source=z1, target=z3, place_map=a1_places, trans_map=a1_trans)

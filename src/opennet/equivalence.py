@@ -342,9 +342,7 @@ def search_correspondence(z1: OpenNet, z2: OpenNet, kind="strong", mode=FIRING,
     be small, the search being factorial.
     """
     for side in ("+", "-"):
-        d1 = z1.open_in if side == "+" else z1.open_out
-        d2 = z2.open_in if side == "+" else z2.open_out
-        if len(d1) > MAX_AUTO_INTERFACE or len(d2) > MAX_AUTO_INTERFACE:
+        if len(z1.opens(side)) > MAX_AUTO_INTERFACE or len(z2.opens(side)) > MAX_AUTO_INTERFACE:
             raise NotACorrespondence(
                 f"interface too large for automatic search (>{MAX_AUTO_INTERFACE} places); "
                 "provide a correspondence explicitly"
@@ -384,17 +382,15 @@ def induced_correspondence(po1, po2, eta: Correspondence) -> Correspondence:
     """
     eta_in = {}
     eta_out = {}
-    for polarity, store in (("+", eta_in), ("-", eta_out)):
-        opens1 = po1.z3.open_in if polarity == "+" else po1.z3.open_out
-        for s3 in opens1:
+    for polarity, store, component in (("+", eta_in, eta.eta_in), ("-", eta_out, eta.eta_out)):
+        for s3 in po1.z3.opens(polarity):
             pre1 = po1.alpha1.place_preimages(s3)
             if pre1:
                 (s,) = pre1
                 store[s3] = po2.alpha1.place_map[s]
             else:
                 (s,) = po1.alpha2.place_preimages(s3)
-                mapped = eta.eta_in[s] if polarity == "+" else eta.eta_out[s]
-                store[s3] = po2.alpha2.place_map[mapped]
+                store[s3] = po2.alpha2.place_map[component[s]]
     return Correspondence(eta_in=eta_in, eta_out=eta_out)
 
 

@@ -177,9 +177,10 @@ def project(f: Mapping, u: Multiset) -> Multiset:
 
 
 def image(f: Mapping, u: Multiset) -> Multiset:
-    """Push a multiset forward along `f`, summing counts that collide."""
+    """Push a multiset forward along `f`, summing counts that collide.
+    `f` must be defined on every item of `u`."""
     data = {}
-    for x, count in u.items():
+    for x, count in u._entries.items():
         y = f[x]
         data[y] = data.get(y, 0) + count
     return _wrap(data)

@@ -5,6 +5,12 @@ An open net is a labelled P/T net together with two sets of open places
 environment may remove them) and an initial marking.  Morphisms map places
 to places and transitions to transitions, preserve pre/post-sets and labels,
 reflect openness, and reflect the initial marking.
+
+Every openness rule holds for both directions alike, so the code states it
+once and runs it over `DIRECTIONS`.  A direction is named by its polarity,
+"+" for input and "-" for output; `OpenNet.opens(polarity)` is the open
+set of that direction, and each `DIRECTIONS` row carries the words the
+messages use for it.
 """
 
 from __future__ import annotations
@@ -32,6 +38,9 @@ class PetriNet:
 
 
 _NO_ARCS = (frozenset(), frozenset())
+
+# (polarity, open-flag word, arc word) for each direction
+DIRECTIONS = (("+", "input", "ingoing"), ("-", "output", "outgoing"))
 
 
 @dataclass(frozen=True, eq=True)
@@ -85,8 +94,9 @@ class OpenNet:
         """Transitions with s in their pre-set."""
         return self._arcs.get(s, _NO_ARCS)[1]
 
-    def is_open(self, s: str, polarity: str) -> bool:
-        return s in (self.open_in if polarity == "+" else self.open_out)
+    def opens(self, polarity: str) -> frozenset:
+        """The input-open places for "+", the output-open ones for "-"."""
+        return self.open_in if polarity == "+" else self.open_out
 
     def with_initial(self, marking: Multiset) -> "OpenNet":
         return replace(self, initial=marking)
@@ -153,30 +163,18 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     )
 
 
-def in_places(f: Morphism) -> frozenset:
-    """Source places whose image gains a producer transition outside f's image.
+def gained_places(f: Morphism, polarity: str) -> frozenset:
+    """Source places whose image gains a producer ("+") or a consumer ("-")
+    transition outside f's image.
 
-    From the source's point of view these places receive tokens from the
-    environment, so a valid morphism requires them to be input open.
+    From the source's point of view these places receive tokens from, or
+    lose tokens to, the environment, so a valid morphism requires them to
+    be open that way.
     """
-    result = set()
-    for s in f.source.places:
-        image_producers = f.target.place_producers(f.place_map[s])
-        mapped = {f.trans_map[t] for t in f.source.place_producers(s)}
-        if image_producers - mapped:
-            result.add(s)
-    return frozenset(result)
-
-
-def out_places(f: Morphism) -> frozenset:
-    """Dual of in_places: source places whose image gains a consumer."""
-    result = set()
-    for s in f.source.places:
-        image_consumers = f.target.place_consumers(f.place_map[s])
-        mapped = {f.trans_map[t] for t in f.source.place_consumers(s)}
-        if image_consumers - mapped:
-            result.add(s)
-    return frozenset(result)
+    arcs = OpenNet.place_producers if polarity == "+" else OpenNet.place_consumers
+    return frozenset(
+        s for s in f.source.places
+        if arcs(f.target, f.place_map[s]) - {f.trans_map[t] for t in arcs(f.source, s)})
 
 
 def is_embedding(f: Morphism) -> bool:
@@ -231,10 +229,9 @@ def validate_net(z: OpenNet) -> ValidationReport:
             report.add("UnknownPlace", f"pre-set of {t!r} references undeclared place {s!r}")
         for s in sorted(tr.post.support() - places):
             report.add("UnknownPlace", f"post-set of {t!r} references undeclared place {s!r}")
-    for s in sorted(z.open_in - z.places):
-        report.add("OpenPlaceNotDeclared", f"input-open place {s!r} is not declared")
-    for s in sorted(z.open_out - z.places):
-        report.add("OpenPlaceNotDeclared", f"output-open place {s!r} is not declared")
+    for polarity, word, _ in DIRECTIONS:
+        for s in sorted(z.opens(polarity) - z.places):
+            report.add("OpenPlaceNotDeclared", f"{word}-open place {s!r} is not declared")
     for s in sorted(z.initial.support() - z.places):
         report.add("UnknownPlace", f"initial marking references undeclared place {s!r}")
     return report
@@ -279,26 +276,18 @@ def validate_morphism(f: Morphism) -> ValidationReport:
             report.add("PrePostMismatch", f"post-set of {t!r} is not preserved by the map")
 
     for s in sorted(src.places):
-        if f.place_map[s] in tgt.open_in and s not in src.open_in:
+        for polarity, word, _ in DIRECTIONS:
+            if f.place_map[s] in tgt.opens(polarity) and s not in src.opens(polarity):
+                report.add(
+                    "OpennessReflectionViolated",
+                    f"place {s!r} maps to an {word}-open place but is not {word} open",
+                )
+    for polarity, word, arc in DIRECTIONS:
+        for s in sorted(gained_places(f, polarity) - src.opens(polarity)):
             report.add(
                 "OpennessReflectionViolated",
-                f"place {s!r} maps to an input-open place but is not input open",
+                f"the image of {s!r} gains an {arc} arc, so {s!r} must be {word} open",
             )
-        if f.place_map[s] in tgt.open_out and s not in src.open_out:
-            report.add(
-                "OpennessReflectionViolated",
-                f"place {s!r} maps to an output-open place but is not output open",
-            )
-    for s in sorted(in_places(f) - src.open_in):
-        report.add(
-            "OpennessReflectionViolated",
-            f"the image of {s!r} gains an ingoing arc, so {s!r} must be input open",
-        )
-    for s in sorted(out_places(f) - src.open_out):
-        report.add(
-            "OpennessReflectionViolated",
-            f"the image of {s!r} gains an outgoing arc, so {s!r} must be output open",
-        )
 
     if src.initial != multiset.project(f.place_map, tgt.initial):
         report.add(
@@ -312,15 +301,13 @@ def close_place(z: OpenNet, s: str, polarity: str) -> OpenNet:
     """The same net with one open flag removed; marking unchanged."""
     if s not in z.places:
         raise UnknownPlace(f"no place {s!r} in the net")
-    if polarity == "+":
-        if s not in z.open_in:
-            raise PlaceNotOpen(f"place {s!r} is not input open")
-        return replace(z, open_in=z.open_in - {s})
-    if polarity == "-":
-        if s not in z.open_out:
-            raise PlaceNotOpen(f"place {s!r} is not output open")
-        return replace(z, open_out=z.open_out - {s})
-    raise ValueError(f"polarity must be '+' or '-', got {polarity!r}")
+    words = {sign: word for sign, word, _ in DIRECTIONS}
+    if polarity not in words:
+        raise ValueError(f"polarity must be '+' or '-', got {polarity!r}")
+    if s not in z.opens(polarity):
+        raise PlaceNotOpen(f"place {s!r} is not {words[polarity]} open")
+    closed = z.opens(polarity) - {s}
+    return replace(z, open_in=closed) if polarity == "+" else replace(z, open_out=closed)
 
 
 @dataclass(frozen=True)

@@ -190,41 +190,25 @@ def check_po_complement(rule: Rule, m: Morphism) -> ConditionReport:
                 f"host transition {t!r} stays attached to deleted place image {hs!r}",
             )
 
-    lin = nets.in_places(rule.left)
-    lout = nets.out_places(rule.left)
-    for s0 in sorted(lin):
-        s = rule.left.place_map[s0]
-        if s in rule.lhs.open_in and m.place_map[s] not in z.open_in:
-            report.add(
-                "2", s,
-                f"pattern place {s!r} loses an ingoing transition but its host image "
-                f"{m.place_map[s]!r} is not input open",
-            )
-    for s0 in sorted(lout):
-        s = rule.left.place_map[s0]
-        if s in rule.lhs.open_out and m.place_map[s] not in z.open_out:
-            report.add(
-                "2", s,
-                f"pattern place {s!r} loses an outgoing transition but its host image "
-                f"{m.place_map[s]!r} is not output open",
-            )
+    for polarity, word, arc in nets.DIRECTIONS:
+        for s0 in sorted(nets.gained_places(rule.left, polarity)):
+            s = rule.left.place_map[s0]
+            if s in rule.lhs.opens(polarity) and m.place_map[s] not in z.opens(polarity):
+                report.add(
+                    "2", s,
+                    f"pattern place {s!r} loses an {arc} transition but its host image "
+                    f"{m.place_map[s]!r} is not {word} open",
+                )
 
-    preserved_open_in = {rule.left.place_map[s0] for s0 in rule.interface.open_in}
-    preserved_open_out = {rule.left.place_map[s0] for s0 in rule.interface.open_out}
-    for s in sorted(rule.lhs.open_in - preserved_open_in):
-        if m.place_map[s] not in z.open_in:
-            report.add(
-                "3", s,
-                f"input-open pattern place {s!r} is deleted or loses its flag but "
-                f"its host image {m.place_map[s]!r} is not input open",
-            )
-    for s in sorted(rule.lhs.open_out - preserved_open_out):
-        if m.place_map[s] not in z.open_out:
-            report.add(
-                "3", s,
-                f"output-open pattern place {s!r} is deleted or loses its flag but "
-                f"its host image {m.place_map[s]!r} is not output open",
-            )
+    for polarity, word, _ in nets.DIRECTIONS:
+        preserved_open = {rule.left.place_map[s0] for s0 in rule.interface.opens(polarity)}
+        for s in sorted(rule.lhs.opens(polarity) - preserved_open):
+            if m.place_map[s] not in z.opens(polarity):
+                report.add(
+                    "3", s,
+                    f"{word}-open pattern place {s!r} is deleted or loses its flag but "
+                    f"its host image {m.place_map[s]!r} is not {word} open",
+                )
     return report
 
 
@@ -254,24 +238,19 @@ def _complement(rule: Rule, m: Morphism):
     n_places = {s0: m.place_map[rule.left.place_map[s0]] for s0 in rule.interface.places}
     n_trans = {t0: m.trans_map[rule.left.trans_map[t0]] for t0 in rule.interface.transitions}
 
-    extra_in = {
-        n_places[s0]
-        for s0 in rule.interface.open_in
-        if rule.left.place_map[s0] not in rule.lhs.open_in
-    }
-    extra_out = {
-        n_places[s0]
-        for s0 in rule.interface.open_out
-        if rule.left.place_map[s0] not in rule.lhs.open_out
-    }
-    open_in = (z.open_in & places) | extra_in
-    open_out = (z.open_out & places) | extra_out
+    # the host's flags on the kept places, plus every interface place that
+    # is open but closed in the pattern: the maximally open context
+    open_in, open_out = (
+        (z.opens(polarity) & places)
+        | {n_places[s0] for s0 in rule.interface.opens(polarity)
+           if rule.left.place_map[s0] not in rule.lhs.opens(polarity)}
+        for polarity in ("+", "-"))
     initial = z.initial.restrict(places)
 
     context = OpenNet(
-        net=PetriNet(places=frozenset(places), transitions=transitions),
-        open_in=frozenset(open_in),
-        open_out=frozenset(open_out),
+        net=PetriNet(places=places, transitions=transitions),
+        open_in=open_in,
+        open_out=open_out,
         initial=initial,
     )
     to_context = Morphism(
@@ -301,45 +280,26 @@ def check_proper(rule: Rule, m: Morphism) -> ConditionReport:
     """
     report = check_po_complement(rule, m)
     z = m.target
-    rin = nets.in_places(rule.right)
-    rout = nets.out_places(rule.right)
-    lin = nets.in_places(rule.left)
-    lout = nets.out_places(rule.left)
-    for s0 in sorted(rin - lin):
-        host = m.place_map[rule.left.place_map[s0]]
-        if host not in z.open_in:
-            report.add(
-                "4", s0,
-                f"the rule adds an ingoing transition at preserved place {s0!r} but "
-                f"its host image {host!r} is not input open",
-            )
-    for s0 in sorted(rout - lout):
-        host = m.place_map[rule.left.place_map[s0]]
-        if host not in z.open_out:
-            report.add(
-                "4", s0,
-                f"the rule adds an outgoing transition at preserved place {s0!r} but "
-                f"its host image {host!r} is not output open",
-            )
-    min_ = nets.in_places(m)
-    mout = nets.out_places(m)
+    for polarity, word, arc in nets.DIRECTIONS:
+        added = nets.gained_places(rule.right, polarity) - nets.gained_places(rule.left, polarity)
+        for s0 in sorted(added):
+            host = m.place_map[rule.left.place_map[s0]]
+            if host not in z.opens(polarity):
+                report.add(
+                    "4", s0,
+                    f"the rule adds an {arc} transition at preserved place {s0!r} but "
+                    f"its host image {host!r} is not {word} open",
+                )
     left_inverse_p = {v: k for k, v in rule.left.place_map.items()}
-    for s in sorted(min_):
-        s0 = left_inverse_p.get(s)
-        if s0 is not None and rule.right.place_map[s0] not in rule.rhs.open_in:
-            report.add(
-                "5", s,
-                f"host arcs feed preserved place {s!r} but its right-hand-side image "
-                f"{rule.right.place_map[s0]!r} is not input open",
-            )
-    for s in sorted(mout):
-        s0 = left_inverse_p.get(s)
-        if s0 is not None and rule.right.place_map[s0] not in rule.rhs.open_out:
-            report.add(
-                "5", s,
-                f"host arcs drain preserved place {s!r} but its right-hand-side image "
-                f"{rule.right.place_map[s0]!r} is not output open",
-            )
+    for (polarity, word, _), verb in zip(nets.DIRECTIONS, ("feed", "drain")):
+        for s in sorted(nets.gained_places(m, polarity)):
+            s0 = left_inverse_p.get(s)
+            if s0 is not None and rule.right.place_map[s0] not in rule.rhs.opens(polarity):
+                report.add(
+                    "5", s,
+                    f"host arcs {verb} preserved place {s!r} but its right-hand-side image "
+                    f"{rule.right.place_map[s0]!r} is not {word} open",
+                )
     return report
 
 
@@ -391,16 +351,12 @@ def rule_correspondence(rule: Rule) -> Correspondence:
     Defined only when every open place of the left-hand side is the image
     of an interface place open the same way.
     """
-    eta_in = {}
-    eta_out = {}
-    for polarity, opens, store in (
-        ("+", rule.lhs.open_in, eta_in),
-        ("-", rule.lhs.open_out, eta_out),
-    ):
-        inverse = {v: k for k, v in rule.left.place_map.items()}
-        for s in opens:
+    inverse = {v: k for k, v in rule.left.place_map.items()}
+    eta_in, eta_out = {}, {}
+    for polarity, store in (("+", eta_in), ("-", eta_out)):
+        for s in rule.lhs.opens(polarity):
             s0 = inverse.get(s)
-            if s0 is None or not rule.interface.is_open(s0, polarity):
+            if s0 is None or s0 not in rule.interface.opens(polarity):
                 raise EtaUndefined(
                     f"open place {s!r} of the left-hand side is not preserved as an "
                     "open interface place, so the induced correspondence is partial"

@@ -323,8 +323,8 @@ def random_composable_span(rng: random.Random, max_interface=2):
     z1_bare, f1 = _extend(rng, z0_bare, "l")
     z2_bare, f2 = _extend(rng, z0_bare, "r")
 
-    in1, out1 = netmod.in_places(f1), netmod.out_places(f1)
-    in2, out2 = netmod.in_places(f2), netmod.out_places(f2)
+    in1, out1 = netmod.gained_places(f1, "+"), netmod.gained_places(f1, "-")
+    in2, out2 = netmod.gained_places(f2, "+"), netmod.gained_places(f2, "-")
     open_in0 = set(in1 | in2)
     open_out0 = set(out1 | out2)
     for s in places0:
@@ -473,7 +473,7 @@ def scan_arcs(z: OpenNet, s) -> tuple[frozenset, frozenset]:
 
 
 def scan_in_out_places(f: Morphism) -> tuple[frozenset, frozenset]:
-    """`nets.in_places(f)` and `nets.out_places(f)`, computed from scan_arcs."""
+    """`nets.gained_places(f, "+")` and `(f, "-")`, computed from scan_arcs."""
     return tuple(
         frozenset(s for s in f.source.places
                   if scan_arcs(f.target, f.place_map[s])[side]

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from opennet import build_net, check_composable, glue_names, pushout
-from opennet.composition import mediating_morphism, places_square
+from opennet.composition import composability_failures, mediating_morphism, places_square
 from opennet.errors import NotComposable, NotEmbedding, SourceMismatch
 from opennet.multiset import Multiset, project
 from opennet.nets import Morphism, OpenNet, identity, validate_morphism
@@ -212,3 +212,144 @@ def test_universal_property_brute_force():
         assert found == [expected]
         checked += 1
     assert checked >= 10
+
+
+def _crossed_span(strip1=(), strip2=()):
+    """Interface places a and b, open both ways, with renamed images.
+
+    The first side produces into a1 and consumes from b1; the second
+    produces into b2 and consumes from a2.  `strip1` and `strip2` list the
+    (place, polarity) flags each side drops.
+    """
+    z0 = build_net(["a", "b"], {}, open_in=["a", "b"], open_out=["a", "b"])
+
+    def side(i, producer, consumer, strip):
+        a, b = f"a{i}", f"b{i}"
+        opens = {"+": {a, b}, "-": {a, b}}
+        for s, polarity in strip:
+            opens[polarity].discard(s)
+        z = build_net([a, b], {f"p{i}": ("c", {}, {producer: 1}),
+                               f"c{i}": ("e", {consumer: 1}, {})},
+                      open_in=opens["+"], open_out=opens["-"])
+        return Morphism(source=z0, target=z, place_map={"a": a, "b": b}, trans_map={})
+
+    return side(1, "a1", "b1", strip1), side(2, "b2", "a2", strip2)
+
+
+_FIRST_IN = ("interface place 'a' receives tokens from the first net but its "
+             "image 'a2' is not input open in the second net")
+_FIRST_OUT = ("interface place 'b' loses tokens to the first net but its "
+              "image 'b2' is not output open in the second net")
+_SECOND_IN = ("interface place 'b' receives tokens from the second net but its "
+              "image 'b1' is not input open in the first net")
+_SECOND_OUT = ("interface place 'a' loses tokens to the second net but its "
+               "image 'a1' is not output open in the first net")
+
+
+@pytest.mark.parametrize("strip1, strip2, expected", [
+    ((), [("a2", "+")], [_FIRST_IN]),
+    ((), [("b2", "-")], [_FIRST_OUT]),
+    ([("b1", "+")], (), [_SECOND_IN]),
+    ([("a1", "-")], (), [_SECOND_OUT]),
+    ([("b1", "+"), ("a1", "-")], [("a2", "+"), ("b2", "-")],
+     [_FIRST_IN, _FIRST_OUT, _SECOND_IN, _SECOND_OUT]),
+    ((), (), []),
+])
+def test_composability_failure_texts(strip1, strip2, expected):
+    f1, f2 = _crossed_span(strip1, strip2)
+    assert composability_failures(f1, f2) == expected
+    assert check_composable(f1, f2) == (not expected)
+
+
+def _reflection_morphism(open_in=(), open_out=(), produce=False, consume=False):
+    """Closed source places w and x mapped onto wy and xy, whose flags and
+    extra producer or consumer make openness reflection fail."""
+    transitions = {}
+    for s in ("wy", "xy"):
+        if produce:
+            transitions[f"p_{s}"] = ("a", {}, {s: 1})
+        if consume:
+            transitions[f"c_{s}"] = ("a", {s: 1}, {})
+    z1 = build_net(["wy", "xy"], transitions, open_in, open_out)
+    return Morphism(source=build_net(["w", "x"], {}), target=z1,
+                    place_map={"w": "wy", "x": "xy"}, trans_map={})
+
+
+def _maps_open(s, word):
+    return f"place {s!r} maps to an {word}-open place but is not {word} open"
+
+
+def _gains(s, adjective, word):
+    return f"the image of {s!r} gains an {adjective} arc, so {s!r} must be {word} open"
+
+
+@pytest.mark.parametrize("kwargs, expected", [
+    (dict(open_in=["xy"]), [_maps_open("x", "input")]),
+    (dict(open_out=["xy"]), [_maps_open("x", "output")]),
+    (dict(produce=True, open_in=["wy", "xy"]),
+     [_maps_open("w", "input"), _maps_open("x", "input"),
+      _gains("w", "ingoing", "input"), _gains("x", "ingoing", "input")]),
+    (dict(consume=True, open_out=["wy", "xy"]),
+     [_maps_open("w", "output"), _maps_open("x", "output"),
+      _gains("w", "outgoing", "output"), _gains("x", "outgoing", "output")]),
+    (dict(produce=True), [_gains("w", "ingoing", "input"), _gains("x", "ingoing", "input")]),
+    (dict(consume=True), [_gains("w", "outgoing", "output"), _gains("x", "outgoing", "output")]),
+    (dict(open_in=["wy", "xy"], open_out=["wy", "xy"], produce=True, consume=True),
+     [_maps_open("w", "input"), _maps_open("w", "output"),
+      _maps_open("x", "input"), _maps_open("x", "output"),
+      _gains("w", "ingoing", "input"), _gains("x", "ingoing", "input"),
+      _gains("w", "outgoing", "output"), _gains("x", "outgoing", "output")]),
+])
+def test_openness_reflection_texts(kwargs, expected):
+    issues = validate_morphism(_reflection_morphism(**kwargs)).issues
+    assert [(i.code, i.message) for i in issues] == [
+        ("OpennessReflectionViolated", m) for m in expected]
+
+
+@pytest.mark.parametrize("closing_side", [1, 2])
+@pytest.mark.parametrize("polarity", ["+", "-"])
+def test_pushout_openness_when_one_side_closes(closing_side, polarity):
+    z0 = build_net(["s"], {}, open_in=["s"], open_out=["s"])
+
+    def side(i):
+        w = f"w{i}"
+        opens = {"+": {"s", w}, "-": {"s", w}}
+        if i == closing_side:
+            opens[polarity].discard("s")
+        z = build_net(["s", w], {}, open_in=opens["+"], open_out=opens["-"])
+        return Morphism(source=z0, target=z, place_map={"s": "s"}, trans_map={})
+
+    z3 = pushout(side(1), side(2)).z3
+    closed = z3.open_in if polarity == "+" else z3.open_out
+    kept = z3.open_out if polarity == "+" else z3.open_in
+    assert closed == frozenset({"L:w1", "R:w2"})
+    assert kept == frozenset({"s", "L:w1", "R:w2"})
+
+
+@pytest.mark.parametrize("fold_first", [True, False])
+def test_one_non_embedding_leg_is_refused(fold_first):
+    z0 = build_net(["x", "y"], {})
+    fold = Morphism(source=z0, target=build_net(["s"], {}),
+                    place_map={"x": "s", "y": "s"}, trans_map={})
+    legs = (fold, identity(z0)) if fold_first else (identity(z0), fold)
+    with pytest.raises(NotEmbedding):
+        check_composable(*legs)
+    with pytest.raises(NotEmbedding):
+        pushout(*legs)
+
+
+@pytest.mark.parametrize("broken", ["beta1 source", "beta2 source", "targets"])
+def test_mediating_morphism_refuses_a_cospan_failing_one_check(broken):
+    f1, f2 = two_sided_span()
+    po = pushout(f1, f2)
+    b1, b2 = po.alpha1, po.alpha2
+    other = identity(po.z3)
+    if broken == "beta1 source":
+        b1 = other
+    elif broken == "beta2 source":
+        b2 = other
+    else:
+        b2 = Morphism(source=b2.source, target=build_net(["q"], {}),
+                      place_map=b2.place_map, trans_map=b2.trans_map)
+    with pytest.raises(SourceMismatch):
+        mediating_morphism(po, b1, b2)

@@ -595,3 +595,14 @@ def test_inconclusive_when_real_state_matches_overflow():
     verdict = check_bisim(left, right, EMPTY_ETA, kind="strong", mode=FIRING, cap=2)
     assert verdict.result == INCONCLUSIVE
     assert verdict.touched_overflow
+
+
+@pytest.mark.parametrize("overflowing_first", [True, False])
+def test_touched_overflow_when_only_one_side_overflows(overflowing_first):
+    quiet = build_net(["q"], {}, open_out=["q"])
+    growing = build_net(["p", "q"], {"t": ("a", {"p": 1}, {"p": 1, "q": 1})},
+                        open_out=["q"], initial={"p": 1})
+    pair = (growing, quiet) if overflowing_first else (quiet, growing)
+    verdict = check_bisim(*pair, Correspondence(eta_in={}, eta_out={"q": "q"}), cap=2)
+    assert verdict.result == NOT_BISIMILAR
+    assert verdict.touched_overflow

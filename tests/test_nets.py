@@ -12,8 +12,7 @@ from opennet.nets import (
     Correspondence,
     Morphism,
     close_place,
-    in_places,
-    out_places,
+    gained_places,
     validate_correspondence,
     validate_morphism,
     validate_net,
@@ -84,8 +83,8 @@ def test_validate_morphism_identity():
 
 def test_validate_morphism_new_transition_on_open_places():
     f = _fig1_nets()
-    assert in_places(f) == frozenset({"sp"})
-    assert out_places(f) == frozenset({"s"})
+    assert gained_places(f, "+") == frozenset({"sp"})
+    assert gained_places(f, "-") == frozenset({"s"})
     assert validate_morphism(f).ok
 
 
@@ -230,6 +229,6 @@ def test_in_and_out_places_equal_a_scan():
                                 trans_map={t: t for t in z.transitions})]
     gained = 0
     for f in embeddings:
-        assert (in_places(f), out_places(f)) == scan_in_out_places(f)
-        gained += len(in_places(f)) + len(out_places(f))
+        assert (gained_places(f, "+"), gained_places(f, "-")) == scan_in_out_places(f)
+        gained += len(gained_places(f, "+")) + len(gained_places(f, "-"))
     assert gained >= 60

@@ -22,8 +22,8 @@ import pytest
 
 from opennet.composition import mediating_morphism, pushout
 from opennet.equivalence import BISIMILAR, NOT_BISIMILAR, check_bisim, induced_correspondence
-from opennet import rewriting
-from opennet.errors import ConditionsViolated, NotProper
+from opennet import build_net, rewriting
+from opennet.errors import ConditionsViolated, EtaUndefined, NotProper
 from opennet.nets import Morphism, compose, identity, is_embedding, validate_morphism
 from opennet.rewriting import (
     Rule,
@@ -233,6 +233,20 @@ def test_service_rule_changes_behaviour():
     assert check_behaviour_preserving(rule).result == NOT_BISIMILAR
     (m,) = find_matches(rule.lhs, service_host())
     assert check_proper(rule, m).ok
+
+
+@pytest.mark.parametrize("polarity", ["+", "-"])
+def test_a_deleted_open_place_leaves_the_correspondence_undefined(polarity):
+    z0 = build_net(["s"], {}, open_in=["s"], open_out=["s"])
+    opens = {"+": {"s"}, "-": {"s"}}
+    opens[polarity].add("d")  # open, but outside the left leg's image
+    lhs = build_net(["s", "d"], {}, open_in=opens["+"], open_out=opens["-"])
+    leg = Morphism(source=z0, target=lhs, place_map={"s": "s"}, trans_map={})
+    rule = Rule(left=leg, right=identity(z0))
+    assert validate_morphism(leg).ok
+    with pytest.raises(EtaUndefined, match="open place 'd' of the left-hand side is not "
+                       "preserved as an open interface place"):
+        rule_correspondence(rule)
 
 
 # ------------------------------------------------------------------ matching
