@@ -98,7 +98,7 @@ def cmd_compose(args) -> int:
         "net": documents.net_to_json(args.name, po.z3),
         "left_leg": documents.morphism_to_json(po.alpha1),
         "right_leg": documents.morphism_to_json(po.alpha2),
-        "origins": {item: list(origin) for item, origin in sorted(naming.items())},
+        "origins": {item: list(origin) for item, origin in naming.items()},
     }
     _write_out(doc, args.out)
     return EXIT_OK
@@ -136,16 +136,10 @@ def cmd_bisim(args) -> int:
     _, z2 = documents.parse_net(_read(args.net2))
     tau = _tau_set(args.tau)
     eta = _load_eta(args)
-    if eta is None:
-        verdict = search_correspondence(
-            z1, z2, kind=args.kind, mode=args.mode, tau_labels=tau,
-            cap=args.cap, max_step=args.max_step,
-        )
-    else:
-        verdict = check_bisim(
-            z1, z2, eta, kind=args.kind, mode=args.mode, tau_labels=tau,
-            cap=args.cap, max_step=args.max_step,
-        )
+    options = dict(kind=args.kind, mode=args.mode, tau_labels=tau,
+                   cap=args.cap, max_step=args.max_step)
+    verdict = (search_correspondence(z1, z2, **options) if eta is None
+               else check_bisim(z1, z2, eta, **options))
     _write_out(_verdict_json(verdict), args.out)
     return _VERDICT_EXITS[verdict.result]
 

@@ -97,41 +97,33 @@ def pushout(f1: Morphism, f2: Morphism) -> PushoutResult:
     if failures:
         raise NotComposable("; ".join(failures))
 
-    z0, z1, z2 = f1.source, f1.target, f2.target
-    a1_places = _glued_names(z1.places, f1.place_map, LEFT_PREFIX)
-    a2_places = _glued_names(z2.places, f2.place_map, RIGHT_PREFIX)
-    a1_trans = _glued_names(z1.transitions, f1.trans_map, LEFT_PREFIX)
-    a2_trans = _glued_names(z2.transitions, f2.trans_map, RIGHT_PREFIX)
+    z1, z2 = f1.target, f2.target
+    places, transitions = set(), {}
+    closed = {polarity: set() for polarity, _, _ in nets.DIRECTIONS}
+    glued = []  # (place names, transition names) of each leg's target
+    for f, z, prefix in ((f1, z1, LEFT_PREFIX), (f2, z2, RIGHT_PREFIX)):
+        place_names = _glued_names(z.places, f.place_map, prefix)
+        trans_names = _glued_names(z.transitions, f.trans_map, prefix)
+        places.update(place_names.values())
+        for t, name in trans_names.items():
+            transitions[name] = Transition(
+                label=z.label(t),
+                pre=multiset.image(place_names, z.pre(t)),
+                post=multiset.image(place_names, z.post(t)),
+            )
+        # a glued place is open iff no preimage on either side is closed
+        for polarity, images in closed.items():
+            images.update(place_names[s] for s in z.places - z.opens(polarity))
+        glued.append((place_names, trans_names))
+    places = frozenset(places)
 
-    places = frozenset(a1_places.values()) | frozenset(a2_places.values())
-    transitions = {}
-    for t, name in a1_trans.items():
-        transitions[name] = Transition(
-            label=z1.label(t),
-            pre=multiset.image(a1_places, z1.pre(t)),
-            post=multiset.image(a1_places, z1.post(t)),
-        )
-    for t, name in a2_trans.items():
-        transitions[name] = Transition(
-            label=z2.label(t),
-            pre=multiset.image(a2_places, z2.pre(t)),
-            post=multiset.image(a2_places, z2.post(t)),
-        )
-
-    # a glued place is open iff no preimage on either side is closed
-    open_in, open_out = (
-        places.difference(a1_places[s] for s in z1.places - z1.opens(polarity))
-        .difference(a2_places[s] for s in z2.places - z2.opens(polarity))
-        for polarity in ("+", "-"))
-
+    (a1_places, a1_trans), (a2_places, a2_trans) = glued
     marking_square = SetPushout(f1=f1.place_map, f2=f2.place_map, a1=a1_places, a2=a2_places)
-    initial = multiset.join(z1.initial, z2.initial, marking_square)
-
     z3 = OpenNet(
         net=PetriNet(places=places, transitions=transitions),
-        open_in=open_in,
-        open_out=open_out,
-        initial=initial,
+        open_in=places - closed["+"],
+        open_out=places - closed["-"],
+        initial=multiset.join(z1.initial, z2.initial, marking_square),
     )
     alpha1 = Morphism(source=z1, target=z3, place_map=a1_places, trans_map=a1_trans)
     alpha2 = Morphism(source=z2, target=z3, place_map=a2_places, trans_map=a2_trans)
@@ -142,29 +134,16 @@ def glue_names(po: PushoutResult) -> dict:
     """Where each item of the glued net came from.
 
     Maps every place and transition id of the result to a pair
-    (origin, original id) with origin one of "interface", "left", "right".
+    (origin, original id): ("interface", x0) when a leg maps the interface
+    item x0 onto it, else ("left", x) or ("right", x) for the item x of that
+    leg's target.  The dict's order means nothing; writers sort it.
     """
     naming = {}
-    inv1p = {v: k for k, v in po.alpha1.place_map.items()}
-    inv2p = {v: k for k, v in po.alpha2.place_map.items()}
-    inv1t = {v: k for k, v in po.alpha1.trans_map.items()}
-    inv2t = {v: k for k, v in po.alpha2.trans_map.items()}
-    interface_places = {po.f1.place_map[s]: s for s in po.z0.places}
-    interface_trans = {po.f1.trans_map[t]: t for t in po.z0.transitions}
-    for s3 in sorted(po.z3.places):
-        if s3 in inv1p and inv1p[s3] in interface_places:
-            naming[s3] = ("interface", interface_places[inv1p[s3]])
-        elif s3 in inv1p:
-            naming[s3] = ("left", inv1p[s3])
-        else:
-            naming[s3] = ("right", inv2p[s3])
-    for t3 in sorted(po.z3.transitions):
-        if t3 in inv1t and inv1t[t3] in interface_trans:
-            naming[t3] = ("interface", interface_trans[inv1t[t3]])
-        elif t3 in inv1t:
-            naming[t3] = ("left", inv1t[t3])
-        else:
-            naming[t3] = ("right", inv2t[t3])
+    for _, component, _ in nets.COMPONENTS:
+        for f, alpha, side in ((po.f1, po.alpha1, "left"), (po.f2, po.alpha2, "right")):
+            interface = {x: x0 for x0, x in component(f).items()}
+            for x, item in component(alpha).items():
+                naming[item] = ("interface", interface[x]) if x in interface else (side, x)
     return naming
 
 
@@ -186,17 +165,16 @@ def mediating_morphism(po: PushoutResult, beta1: Morphism, beta2: Morphism) -> M
     """
     if beta1.source != po.z1 or beta2.source != po.z2 or beta1.target != beta2.target:
         raise SourceMismatch("cospan does not match the pushout span")
-    place_map = {}
-    trans_map = {}
-    for kind, a1m, a2m, b1m, b2m, out in (
-        ("place", po.alpha1.place_map, po.alpha2.place_map, beta1.place_map, beta2.place_map, place_map),
-        ("transition", po.alpha1.trans_map, po.alpha2.trans_map, beta1.trans_map, beta2.trans_map, trans_map),
-    ):
-        for x1, x3 in a1m.items():
-            out[x3] = b1m[x1]
-        for x2, x3 in a2m.items():
-            y = b2m[x2]
-            if x3 in out and out[x3] != y:
-                raise ValueError(f"cospan does not commute on {kind} {x3!r}")
-            out[x3] = y
+    maps = []
+    for kind, component, _ in nets.COMPONENTS:
+        out = {}
+        for alpha, beta in ((po.alpha1, beta1), (po.alpha2, beta2)):
+            beta_map = component(beta)
+            for x, x3 in component(alpha).items():
+                y = beta_map[x]
+                if x3 in out and out[x3] != y:
+                    raise ValueError(f"cospan does not commute on {kind} {x3!r}")
+                out[x3] = y
+        maps.append(out)
+    place_map, trans_map = maps
     return Morphism(source=po.z3, target=beta1.target, place_map=place_map, trans_map=trans_map)

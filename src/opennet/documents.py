@@ -278,16 +278,16 @@ def net_from_json(doc: dict) -> tuple[str, OpenNet]:
 
 
 def net_to_json(name: str, z: OpenNet) -> dict:
+    """A net's JSON object; `dumps` sorts its places and transitions."""
     places = {}
-    for pid in sorted(z.places):
+    for pid in z.places:
         places[pid] = {
             "open_in": pid in z.open_in,
             "open_out": pid in z.open_out,
             "initial": z.initial.count(pid),
         }
     transitions = {}
-    for tid in sorted(z.transitions):
-        tr = z.transitions[tid]
+    for tid, tr in z.transitions.items():
         transitions[tid] = {
             "label": tr.label,
             "pre": marking_to_json(tr.pre),
@@ -325,10 +325,7 @@ def _morphism_from(doc: dict, source: OpenNet, target: OpenNet, what: str) -> Mo
 
 
 def morphism_to_json(f: Morphism) -> dict:
-    return {
-        "places": dict(sorted(f.place_map.items())),
-        "transitions": dict(sorted(f.trans_map.items())),
-    }
+    return {"places": dict(f.place_map), "transitions": dict(f.trans_map)}
 
 
 def _legs_from(doc: dict) -> tuple[Morphism, Morphism]:
@@ -349,15 +346,18 @@ def parse_span(text: str):
     return _legs_from(_expect_format(_loads(text), SPAN_FORMAT))
 
 
+def _legs_to_json(fmt: str, f1: Morphism, f2: Morphism, names) -> dict:
+    """A span or rule document of two embeddings out of one interface, as
+    `_legs_from` reads it: the interface net, then each leg's net and map."""
+    doc = {"format": fmt, "interface": net_to_json(names[0], f1.source)}
+    for key, f, name in (("left", f1, names[1]), ("right", f2, names[2])):
+        doc[key] = net_to_json(name, f.target)
+        doc[key + "_map"] = morphism_to_json(f)
+    return doc
+
+
 def emit_span(f1: Morphism, f2: Morphism, names=("interface", "left", "right")) -> str:
-    return dumps({
-        "format": SPAN_FORMAT,
-        "interface": net_to_json(names[0], f1.source),
-        "left": net_to_json(names[1], f1.target),
-        "right": net_to_json(names[2], f2.target),
-        "left_map": morphism_to_json(f1),
-        "right_map": morphism_to_json(f2),
-    })
+    return dumps(_legs_to_json(SPAN_FORMAT, f1, f2, names))
 
 
 def parse_rule(text: str) -> tuple[Rule, dict]:
@@ -372,14 +372,7 @@ def parse_rule(text: str) -> tuple[Rule, dict]:
 
 def emit_rule(rule: Rule, meta: dict | None = None,
               names=("interface", "left", "right")) -> str:
-    doc = {
-        "format": RULE_FORMAT,
-        "interface": net_to_json(names[0], rule.interface),
-        "left": net_to_json(names[1], rule.lhs),
-        "right": net_to_json(names[2], rule.rhs),
-        "left_map": morphism_to_json(rule.left),
-        "right_map": morphism_to_json(rule.right),
-    }
+    doc = _legs_to_json(RULE_FORMAT, rule.left, rule.right, names)
     if meta:
         doc["behaviour_check"] = meta
     return dumps(doc)
@@ -393,10 +386,7 @@ def parse_eta(text: str) -> Correspondence:
 
 
 def eta_to_json(eta: Correspondence) -> dict:
-    return {
-        "plus": dict(sorted(eta.eta_in.items())),
-        "minus": dict(sorted(eta.eta_out.items())),
-    }
+    return {"plus": dict(eta.eta_in), "minus": dict(eta.eta_out)}
 
 
 def emit_eta(eta: Correspondence) -> str:

@@ -272,8 +272,8 @@ def _eta_obs(eta: Correspondence):
     return fn
 
 
-def _prepared_lts(z: OpenNet, kind, mode, tau_labels, cap, max_step, root=None) -> Lts:
-    lts = build_lts(z, mode=mode, cap=cap, max_step=max_step, root=root)
+def _prepared_lts(z: OpenNet, kind, mode, tau_labels, cap, max_step) -> Lts:
+    lts = build_lts(z, mode=mode, cap=cap, max_step=max_step)
     if kind == "weak":
         lts = weak_closure(lts, tau_labels)
     return lts
@@ -439,7 +439,8 @@ def check_upto(z1: OpenNet, z2: OpenNet, eta: Correspondence, pairs,
     def responses(z, which, root, want_label):
         key = (which, root)
         if key not in cache:
-            lts = _prepared_lts(z, "weak", FIRING, tau_labels, cap, DEFAULT_MAX_STEP, root=root)
+            lts = _prepared_lts(z.with_initial(root), "weak", FIRING, tau_labels, cap,
+                                DEFAULT_MAX_STEP)
             moves = [(label, lts.marking(dst)) for src, label, dst in lts.labelled_edges()
                      if src == lts.initial and lts.states[dst] is not OVERFLOW]
             cache[key] = (lts.has_overflow(), moves)
@@ -450,13 +451,11 @@ def check_upto(z1: OpenNet, z2: OpenNet, eta: Correspondence, pairs,
 
     inverse = eta.inverse()
     for u1, u2 in pair_list:
-        for direction in (1, 2):
-            challenger_z = z1 if direction == 1 else z2
-            responder_z = z2 if direction == 1 else z1
-            cu = u1 if direction == 1 else u2
-            ru = u2 if direction == 1 else u1
-            # carries the challenger's places over to the responder's
-            mirror = eta if direction == 1 else inverse
+        # mirror carries the challenger's places over to the responder's
+        for direction, side, challenger_z, responder_z, cu, ru, mirror in (
+            (1, "first", z1, z2, u1, u2, eta),
+            (2, "second", z2, z1, u2, u1, inverse),
+        ):
             mirror_obs = _eta_obs(mirror)
             for step in semantics.enabled_steps(challenger_z, cu, FIRING, cap, 1):
                 target = step.target
@@ -486,7 +485,6 @@ def check_upto(z1: OpenNet, z2: OpenNet, eta: Correspondence, pairs,
                     if answered:
                         break
                 if not answered:
-                    side = "first" if direction == 1 else "second"
                     return UpToResult(
                         accepted=False,
                         reason=(

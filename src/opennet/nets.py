@@ -10,13 +10,16 @@ Every openness rule holds for both directions alike, so the code states it
 once and runs it over `DIRECTIONS`.  A direction is named by its polarity,
 "+" for input and "-" for output; `OpenNet.opens(polarity)` is the open
 set of that direction, and each `DIRECTIONS` row carries the words the
-messages use for it.
+messages use for it.  In the same way a morphism's two components, one on
+places and one on transitions, obey the same rules, which run over
+`COMPONENTS`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import attrgetter
 from typing import Mapping
 
 from . import multiset
@@ -41,6 +44,12 @@ _NO_ARCS = (frozenset(), frozenset())
 
 # (polarity, open-flag word, arc word) for each direction
 DIRECTIONS = (("+", "input", "ingoing"), ("-", "output", "outgoing"))
+
+# (item word, morphism component, net items) for each kind of item
+COMPONENTS = (
+    ("place", attrgetter("place_map"), attrgetter("places")),
+    ("transition", attrgetter("trans_map"), attrgetter("transitions")),
+)
 
 
 @dataclass(frozen=True, eq=True)
@@ -243,22 +252,17 @@ def validate_morphism(f: Morphism) -> ValidationReport:
     report = ValidationReport()
     src, tgt = f.source, f.target
 
-    missing_places = src.places - frozenset(f.place_map)
-    for s in sorted(missing_places):
-        report.add("NotTotal", f"place {s!r} has no image")
-    missing_trans = frozenset(src.transitions) - frozenset(f.trans_map)
-    for t in sorted(missing_trans):
-        report.add("NotTotal", f"transition {t!r} has no image")
-    for s, y in sorted(f.place_map.items()):
-        if s not in src.places:
-            report.add("UnknownItem", f"place map defined on undeclared place {s!r}")
-        if y not in tgt.places:
-            report.add("ImageOutsideTarget", f"place {s!r} maps to undeclared {y!r}")
-    for t, y in sorted(f.trans_map.items()):
-        if t not in src.transitions:
-            report.add("UnknownItem", f"transition map defined on undeclared transition {t!r}")
-        if y not in tgt.transitions:
-            report.add("ImageOutsideTarget", f"transition {t!r} maps to undeclared {y!r}")
+    for kind, component, items in COMPONENTS:
+        mapping = component(f)
+        for x in sorted(x for x in items(src) if x not in mapping):
+            report.add("NotTotal", f"{kind} {x!r} has no image")
+    for kind, component, items in COMPONENTS:
+        declared, images = items(src), items(tgt)
+        for x, y in sorted(component(f).items()):
+            if x not in declared:
+                report.add("UnknownItem", f"{kind} map defined on undeclared {kind} {x!r}")
+            if y not in images:
+                report.add("ImageOutsideTarget", f"{kind} {x!r} maps to undeclared {y!r}")
     if not report.ok:
         return report
 

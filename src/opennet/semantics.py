@@ -347,10 +347,12 @@ def compose_steps(po: PushoutResult, st1: Step, st2: Step, split: StepSplit) -> 
     each side is exactly the mirror image of the other side's internal part
     through the interface.
     """
-    if st1.events != split.a1_internal + split.a1_external:
-        raise NotCompatible("split does not partition the first step's events")
-    if st2.events != split.a2_internal + split.a2_external:
-        raise NotCompatible("split does not partition the second step's events")
+    for side, st, internal, external in (
+        ("first", st1, split.a1_internal, split.a1_external),
+        ("second", st2, split.a2_internal, split.a2_external),
+    ):
+        if st.events != internal + external:
+            raise NotCompatible(f"split does not partition the {side} step's events")
     u0_left = multiset.project(po.f1.place_map, st1.source)
     u0_right = multiset.project(po.f2.place_map, st2.source)
     if u0_left != u0_right:
@@ -362,16 +364,15 @@ def compose_steps(po: PushoutResult, st1: Step, st2: Step, split: StepSplit) -> 
         mirror1 = image_events(po.f1, project_events(po.f2, split.a2_internal))
     except IllegalEvent as exc:
         raise NotCompatible(f"internal part has no mirror image: {exc}") from exc
-    if split.a2_external != mirror2:
-        raise NotCompatible(
-            f"external part of the second step is {split.a2_external}, "
-            f"expected the mirror {mirror2}"
-        )
-    if split.a1_external != mirror1:
-        raise NotCompatible(
-            f"external part of the first step is {split.a1_external}, "
-            f"expected the mirror {mirror1}"
-        )
+    for side, external, mirror in (
+        ("second", split.a2_external, mirror2),
+        ("first", split.a1_external, mirror1),
+    ):
+        if external != mirror:
+            raise NotCompatible(
+                f"external part of the {side} step is {external}, "
+                f"expected the mirror {mirror}"
+            )
     try:
         events = image_events(po.alpha1, split.a1_internal) + image_events(
             po.alpha2, split.a2_internal
@@ -487,7 +488,7 @@ def label_sort_key(label):
 
 
 def build_lts(z: OpenNet, mode: str = FIRING, cap: int = DEFAULT_CAP,
-              max_step: int = DEFAULT_MAX_STEP, root: Multiset | None = None) -> Lts:
+              max_step: int = DEFAULT_MAX_STEP) -> Lts:
     """Breadth-first exploration of the capped marking space.
 
     Any step that would leave the cap region leads to the absorbing overflow
@@ -501,12 +502,11 @@ def build_lts(z: OpenNet, mode: str = FIRING, cap: int = DEFAULT_CAP,
     """
     if cap < 0 or max_step < 0:
         raise InvalidBound(f"the cap ({cap}) and the step bound ({max_step}) must be non-negative")
-    start = z.initial if root is None else root
-    if any(n > cap for _, n in start.items()):
-        raise InitialExceedsCap(f"marking {start} exceeds the per-place cap {cap}")
+    if any(n > cap for _, n in z.initial.items()):
+        raise InitialExceedsCap(f"marking {z.initial} exceeds the per-place cap {cap}")
     bound = 1 if mode == FIRING else max_step
     places, events, need, delta, pmask, guard, ones, over, first, decode = _lower(
-        z, start, cap, bound)
+        z, z.initial, cap, bound)
     observed = [observe(z, e) for e in events]
     table = {}  # label -> label index; equal labels share one index
     labels = {}  # event indices -> label index

@@ -15,7 +15,7 @@ from opennet import documents
 from opennet.cli import build_parser, main
 from opennet.multiset import Multiset
 
-from netlib import absorber, loop_span
+from netlib import absorber, loop_span, two_sided_span
 
 DATA = Path(__file__).parent / "data"
 
@@ -109,6 +109,7 @@ GENERATED = {
 
 GENERATED_CASES = [
     ("compose_loop_span.out", 0, ["compose", "{loop_span}"]),
+    ("compose_two_sided_span.out", 0, ["compose", "two_sided_span.json"]),
     ("validate_chain3.out", 0, ["validate", "chain3.json"]),
     ("upto_absorber_accepted.out", 0,
      ["upto", "{absorber}", "{absorber}", "--relation", "{absorber_relation}", "--cap", "4"]),
@@ -139,6 +140,12 @@ def _materialised(args, tmp_path, docs):
 def test_report_on_generated_documents(tmp_path, capsys, expected, exit_code, args):
     assert main(_materialised(args, tmp_path, GENERATED)) == exit_code
     assert capsys.readouterr().out == (DATA / expected).read_text(encoding="utf-8")
+
+
+def test_two_sided_span_document_is_the_library_span():
+    text = (DATA / "two_sided_span.json").read_text(encoding="utf-8")
+    assert documents.emit_span(*two_sided_span()) == text
+    assert documents.emit_span(*documents.parse_span(text)) == text
 
 
 def test_apply_at_an_improper_match_reports_the_violations(capsys):

@@ -105,6 +105,44 @@ def test_glue_names_origins():
     assert naming["R:w2"] == ("right", "w2")
 
 
+def test_glue_names_covers_every_item_of_the_two_sided_span():
+    po = pushout(*two_sided_span())
+    assert glue_names(po) == {
+        "s": ("interface", "s"),
+        "sp": ("interface", "sp"),
+        "L:w1": ("left", "w1"),
+        "R:w2": ("right", "w2"),
+        "t0": ("interface", "t0"),
+        "L:t1p": ("left", "t1p"),
+        "L:t1c": ("left", "t1c"),
+        "R:t2p": ("right", "t2p"),
+        "R:t2c": ("right", "t2c"),
+    }
+
+
+def test_glue_names_origins_map_onto_their_items():
+    rng = random.Random(18)
+    for _ in range(80):
+        f1, f2 = random_composable_span(rng)
+        po = pushout(f1, f2)
+        naming = glue_names(po)
+        assert set(naming) == set(po.z3.places) | set(po.z3.transitions)
+        for item, (origin, x) in naming.items():
+            if item in po.z3.places:
+                f1m, f2m, a1m, a2m = (f1.place_map, f2.place_map,
+                                      po.alpha1.place_map, po.alpha2.place_map)
+            else:
+                f1m, f2m, a1m, a2m = (f1.trans_map, f2.trans_map,
+                                      po.alpha1.trans_map, po.alpha2.trans_map)
+            if origin == "interface":
+                assert a1m[f1m[x]] == item
+            elif origin == "left":
+                assert a1m[x] == item and x not in f1m.values()
+            else:
+                assert origin == "right"
+                assert a2m[x] == item and x not in f2m.values()
+
+
 def test_two_sided_pushout_shape():
     f1, f2 = two_sided_span()
     po = pushout(f1, f2)

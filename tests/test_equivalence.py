@@ -10,6 +10,7 @@ from opennet.equivalence import (
     BISIMILAR,
     INCONCLUSIVE,
     NOT_BISIMILAR,
+    UpToResult,
     _extract_play,
     _refine_union,
     _state_namer,
@@ -321,6 +322,17 @@ def test_upto_pair_exceeding_cap():
     with pytest.raises(PairExceedsCap):
         check_upto(absorber(), absorber(), ID_ETA,
                    [(Multiset({"s": 9}), Multiset({"s": 9}))], cap=4)
+
+
+def test_upto_at_cap_0():
+    # cap 0 is a legal bound: a closed net with nothing enabled is accepted
+    z = build_net(["p"], {"t": ("a", {"p": 1}, {})})
+    result = check_upto(z, z, EMPTY_ETA, [(EMPTY, EMPTY)], cap=0)
+    assert result == UpToResult(accepted=True, reason=None, touched_overflow=False)
+    # and the absorber's first token already lies beyond it
+    with pytest.raises(PairExceedsCap) as info:
+        check_upto(absorber(), absorber(), ID_ETA, [(EMPTY, EMPTY)], cap=0)
+    assert str(info.value) == "challenge from 0 reaches s, beyond the cap 0; raise the cap"
 
 
 def test_upto_refuses_a_pair_on_undeclared_places():

@@ -10,6 +10,7 @@ from opennet.errors import DomainMismatch, PlaceNotOpen, UnknownPlace
 from opennet.multiset import Multiset
 from opennet.nets import (
     Correspondence,
+    Issue,
     Morphism,
     close_place,
     gained_places,
@@ -79,6 +80,58 @@ def _fig1_nets(source_out_open=True):
 
 def test_validate_morphism_identity():
     assert validate_morphism(identity(agency_a())).ok
+
+
+# one domain fault per row: place map, transition map, issue
+_DOMAIN_FAULTS = [
+    ({}, {"t": "t"}, Issue("NotTotal", "place 'a' has no image")),
+    ({"a": "a"}, {}, Issue("NotTotal", "transition 't' has no image")),
+    ({"a": "a", "ghost": "a"}, {"t": "t"},
+     Issue("UnknownItem", "place map defined on undeclared place 'ghost'")),
+    ({"a": "a"}, {"t": "t", "ghost": "t"},
+     Issue("UnknownItem", "transition map defined on undeclared transition 'ghost'")),
+    ({"a": "zz"}, {"t": "t"}, Issue("ImageOutsideTarget", "place 'a' maps to undeclared 'zz'")),
+    ({"a": "a"}, {"t": "zz"},
+     Issue("ImageOutsideTarget", "transition 't' maps to undeclared 'zz'")),
+]
+
+
+def _domain_nets():
+    z0 = build_net(["a", "b"], {"t": ("x", {"a": 1}, {}), "u": ("x", {}, {})})
+    z1 = build_net(["a", "b"], {"t": ("x", {"a": 1}, {}), "u": ("x", {}, {})})
+    return z0, z1
+
+
+@pytest.mark.parametrize("place_map, trans_map, issue", _DOMAIN_FAULTS,
+                         ids=[f"{row[2].code}-{i}" for i, row in enumerate(_DOMAIN_FAULTS)])
+def test_validate_morphism_domain_fault_texts(place_map, trans_map, issue):
+    z0, z1 = _domain_nets()
+    complete_p = {"b": "b", **place_map}
+    complete_t = {"u": "u", **trans_map}
+    f = Morphism(source=z0, target=z1, place_map=complete_p, trans_map=complete_t)
+    assert validate_morphism(f).issues == [issue]
+
+
+def test_validate_morphism_reports_domain_faults_in_order():
+    # all NotTotal places, then all NotTotal transitions, then the place map
+    # in sorted order, then the transition map in sorted order
+    z0 = build_net(["a", "b", "c"], {"t": ("x", {}, {}), "u": ("x", {}, {}), "v": ("x", {}, {})})
+    z1 = build_net(["a"], {"t": ("x", {}, {})})
+    f = Morphism(source=z0, target=z1,
+                 place_map={"c": "zz", "ghost": "yy", "b": "a"},
+                 trans_map={"v": "zz", "gt": "t", "ghost": "yy"})
+    assert [str(issue) for issue in validate_morphism(f).issues] == [
+        "NotTotal: place 'a' has no image",
+        "NotTotal: transition 't' has no image",
+        "NotTotal: transition 'u' has no image",
+        "ImageOutsideTarget: place 'c' maps to undeclared 'zz'",
+        "UnknownItem: place map defined on undeclared place 'ghost'",
+        "ImageOutsideTarget: place 'ghost' maps to undeclared 'yy'",
+        "UnknownItem: transition map defined on undeclared transition 'ghost'",
+        "ImageOutsideTarget: transition 'ghost' maps to undeclared 'yy'",
+        "UnknownItem: transition map defined on undeclared transition 'gt'",
+        "ImageOutsideTarget: transition 'v' maps to undeclared 'zz'",
+    ]
 
 
 def test_validate_morphism_new_transition_on_open_places():

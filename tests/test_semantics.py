@@ -12,7 +12,13 @@ from pathlib import Path
 import pytest
 
 from opennet import build_net, pushout
-from opennet.errors import IllegalEvent, InitialExceedsCap, InvalidBound, NotEnabled
+from opennet.errors import (
+    IllegalEvent,
+    InitialExceedsCap,
+    InvalidBound,
+    NotCompatible,
+    NotEnabled,
+)
 from opennet.multiset import EMPTY, Multiset
 from opennet.nets import Morphism
 from opennet.semantics import (
@@ -245,6 +251,73 @@ def test_compose_steps_both_empty():
     split = StepSplit(EMPTY, EMPTY, EMPTY, EMPTY)
     st3 = compose_steps(po, st1, st2, split)
     assert st3.events == EMPTY and st3.source == Multiset({"s": 1})
+
+
+def _half_closed_span():
+    """A span over one place open both ways in the interface and the first
+    net, closed in the second net, so it is closed in the glued net."""
+    z0 = build_net(["s"], {}, open_in=["s"], open_out=["s"], initial={"s": 1})
+    z2 = build_net(["s"], {}, initial={"s": 1})
+    f1 = Morphism(source=z0, target=z0, place_map={"s": "s"}, trans_map={})
+    f2 = Morphism(source=z0, target=z2, place_map={"s": "s"}, trans_map={})
+    return f1, f2
+
+
+def _idle(z):
+    return Step(events=EMPTY, source=z.initial, target=z.initial)
+
+
+def _incompatible_two_sided():
+    """(name, po, st1, st2, split) rows on the two-sided span."""
+    f1, f2 = two_sided_span()
+    po = pushout(f1, f2)
+    z1, z2 = f1.target, f2.target
+    t0 = Multiset.of(trans("t0"))
+    st1, st2 = make_step(z1, z1.initial, t0), make_step(z2, z2.initial, t0)
+    minus_s = Multiset.of(minus("s"))
+    plus_sp = Multiset.of(plus("sp"))
+    return [
+        ("first partition", po, st1, st2, StepSplit(EMPTY, EMPTY, EMPTY, t0)),
+        ("second partition", po, st1, st2, StepSplit(t0, EMPTY, EMPTY, EMPTY)),
+        # the first side removes a token from s; the second must mirror it
+        ("second mirror", po, make_step(z1, z1.initial, minus_s), _idle(z2),
+         StepSplit(minus_s, EMPTY, EMPTY, EMPTY)),
+        # the second side adds a token to sp; the first must mirror it
+        ("first mirror", po, _idle(z1), make_step(z2, z2.initial, plus_sp),
+         StepSplit(EMPTY, EMPTY, plus_sp, EMPTY)),
+    ]
+
+
+def test_compose_steps_incompatible_texts():
+    rows = {name: row for name, *row in _incompatible_two_sided()}
+    expected = {
+        "first partition": "split does not partition the first step's events",
+        "second partition": "split does not partition the second step's events",
+        "second mirror": "external part of the second step is 0, expected the mirror -s",
+        "first mirror": "external part of the first step is 0, expected the mirror +sp",
+    }
+    for name, text in expected.items():
+        with pytest.raises(NotCompatible) as info:
+            compose_steps(*rows[name])
+        assert str(info.value) == text, name
+
+
+def test_compose_steps_without_a_mirror_or_an_embedding():
+    f1, f2 = _half_closed_span()
+    po = pushout(f1, f2)
+    z1, z2 = f1.target, f2.target
+    minus_s = Multiset.of(minus("s"))
+    # the first side's interaction at s has no image in the second net
+    st1 = make_step(z1, z1.initial, minus_s)
+    with pytest.raises(NotCompatible) as info:
+        compose_steps(po, st1, _idle(z2), StepSplit(minus_s, EMPTY, EMPTY, EMPTY))
+    assert str(info.value) == "internal part has no mirror image: image place 's' is not output open"
+    # the second side's interaction at s mirrors into the first net, but s
+    # is closed in the glued net
+    st2 = Step(events=minus_s, source=z2.initial, target=EMPTY)
+    with pytest.raises(NotCompatible) as info:
+        compose_steps(po, st1, st2, StepSplit(EMPTY, minus_s, minus_s, EMPTY))
+    assert str(info.value) == "internal events cannot be embedded: image place 's' is not output open"
 
 
 def test_decompose_private_transition():
@@ -544,7 +617,7 @@ def test_build_lts_matches_the_oracle_lts():
                                       *((weighted(), STEP, k) for k in range(1, 5)),
                                       (weighted(open_in=False), STEP, 200),
                                       (feed, STEP, 200), (heavy, FIRING, 1)):
-                lts = build_lts(z, mode, cap=cap, max_step=max_step, root=root)
+                lts = build_lts(z.with_initial(root), mode, cap=cap, max_step=max_step)
                 states, edges = oracle_lts(z, mode, cap, max_step, root)
                 assert [lts.marking(i) for i in range(len(lts.states))] == states
                 assert lts.labelled_edges() == edges
