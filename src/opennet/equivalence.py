@@ -19,6 +19,7 @@ pair's depth.  Witness and play write states as their markings' text.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from dataclasses import dataclass
@@ -126,12 +127,14 @@ def subtractable_markings(z: OpenNet, u: Multiset):
         yield Multiset({s: c for s, c in zip(places, counts) if c})
 
 
-def partition_refinement(lts_states: int, successors, rounds: list | None = None) -> list:
+def partition_refinement(labels, targets, rounds: list | None = None) -> list:
     """Coarsest bisimulation partition of a finite labelled graph.
 
-    `successors[i]` lists (label, target) pairs; labels need only be
-    hashable, as they are only compared for equality.  Returns a block id
-    per state; equal ids mean bisimilar states, and ids mean nothing else.
+    State i's edges are the columns `labels[i]` and `targets[i]`, read in
+    step: edge k goes to state `targets[i][k]` under label id
+    `labels[i][k]`, a non-negative int that equal labels share.  Returns a
+    block id per state; equal ids mean bisimilar states, and ids mean
+    nothing else.
 
     Naive refinement (Kanellakis & Smolka): round k splits each block by the
     set of (label, round k-1 block) pairs its states can reach, so two
@@ -140,13 +143,8 @@ def partition_refinement(lts_states: int, successors, rounds: list | None = None
     list of every round that changed the partition is appended to it, round
     1 first, so its last entry (if any) is the returned partition.
     """
-    # each label becomes a small id, equal labels sharing one; ids and targets
-    # are two flat tuples per state, as (label, target) pairs raise the peak
-    ids = {}
-    labels = [tuple(ids.setdefault(lbl, len(ids)) for lbl, _ in out) for out in successors]
-    targets = [tuple(dst for _, dst in out) for out in successors]
-    width = len(ids)
-    blocks = [0] * lts_states
+    width = 1 + max((max(lbls) for lbls in labels if lbls), default=0)
+    blocks = [0] * len(labels)
     while True:
         # a (label id, block) pair is packed into the one int id + block *
         # width, so a signature is a set of ints; blocks are numbered in
@@ -168,36 +166,33 @@ def _refine_union(lts1: Lts, lts2: Lts):
 
     State j of `lts2` is state n1 + j of the union, n1 being the number of
     states of `lts1`, and the two label tables are merged by value into
-    one.  Returns the union's label table, its successor lists of (union
-    label index, union state) pairs, the final block list, and depth(x, y)
-    for union states x and y: the first round whose partition separates
-    the two, so the challenger wins from (x, y) in that many moves and no
-    fewer; 0 means bisimilar.  Partitions are nested, so the rounds that
-    separate a pair form a suffix and a binary search finds it.
+    one, so the refinement and the play compare label ids only.  Returns
+    the union's label table, its edge columns (per union state, the label
+    indices and the targets of its edges), the final block list, and
+    depth(x, y) for union states x and y: the first round whose partition
+    separates the two, so the challenger wins from (x, y) in that many
+    moves and no fewer; 0 means bisimilar.  Partitions are nested, so the
+    rounds that separate a pair form a suffix and a binary search finds it.
     """
     table = {}
     n1 = len(lts1.states)
-    successors = [[] for _ in range(n1 + len(lts2.states))]
+    labels = [[] for _ in range(n1 + len(lts2.states))]
+    targets = [[] for _ in labels]
     for offset, lts in ((0, lts1), (n1, lts2)):
         ids = [table.setdefault(label, len(table)) for label in lts.labels]
         for src, label, dst in lts.edges:
-            successors[offset + src].append((ids[label], offset + dst))
+            labels[offset + src].append(ids[label])
+            targets[offset + src].append(offset + dst)
     rounds = []
-    blocks = partition_refinement(len(successors), successors, rounds)
+    blocks = partition_refinement(labels, targets, rounds)
 
     def depth(x: int, y: int) -> int:
-        if not rounds or rounds[-1][x] == rounds[-1][y]:
-            return 0
-        lo, hi = 0, len(rounds) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if rounds[mid][x] == rounds[mid][y]:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo + 1
+        # the number of rounds, a prefix, that keep x and y in one block
+        shared = bisect.bisect(range(len(rounds)), False,
+                               key=lambda k: rounds[k][x] != rounds[k][y])
+        return 0 if shared == len(rounds) else shared + 1
 
-    return list(table), successors, blocks, depth
+    return list(table), labels, targets, blocks, depth
 
 
 def _state_namer(lts1: Lts, lts2: Lts):
@@ -207,29 +202,29 @@ def _state_namer(lts1: Lts, lts2: Lts):
     return functools.cache(lambda x: semantics.format_marking(places[x], states[x]))
 
 
-def _extract_play(lts1: Lts, lts2: Lts, labels, successors, depth, name):
+def _extract_play(lts1: Lts, lts2: Lts, table, labels, targets, depth, name):
     """A shortest alternating challenge/response trace for the initial pair.
 
-    `labels`, `successors` and `depth` are those `_refine_union` returns,
-    so the play walks union states and union label indices, and `name`
-    writes a union state.  At a pair of depth d the challenger picks a move
-    all of whose answers land in pairs of depth below d.  Since the pair is
-    (d-1)-step bisimilar, one answer reaches a (d-2)-step bisimilar pair, of
-    depth exactly d-1, and the responder takes its deepest answer; at depth
-    1 there is no answer at all.  So every move lowers the depth by one, and
-    the play is exactly as long as the depth of the initial pair.
+    The play walks the union states and label indices `_refine_union`
+    returns, and `name` writes a union state.  At a pair of depth d the
+    challenger picks a move all of whose answers land in pairs of depth
+    below d.  Since the pair is (d-1)-step bisimilar, one answer reaches a
+    (d-2)-step bisimilar pair, of depth exactly d-1, and the responder
+    takes its deepest answer; at depth 1 there is no answer at all.  So
+    every move lowers the depth by one, and the play is exactly as long as
+    the depth of the initial pair.
     """
-    keys = [label_sort_key(label) for label in labels]
+    keys = [label_sort_key(label) for label in table]
     play = []
     pair = (lts1.initial, len(lts1.states) + lts2.initial)
     while pair is not None and depth(*pair):
         x, y = pair
-        move, pair = _best_challenge(name, labels, keys, successors, x, y, depth)
+        move, pair = _best_challenge(name, table, keys, labels, targets, x, y, depth)
         play.append(move)
     return play
 
 
-def _best_challenge(name, labels, keys, successors, x, y, depth):
+def _best_challenge(name, table, keys, labels, targets, x, y, depth):
     """The canonical winning challenge at a separated pair of union states.
 
     A challenge wins iff every response lands in a pair separated strictly
@@ -240,8 +235,8 @@ def _best_challenge(name, labels, keys, successors, x, y, depth):
     here = depth(x, y)
     candidates = []
     for side, a, b in ((1, x, y), (2, y, x)):
-        for label, a2 in successors[a]:
-            responses = sorted(b2 for lbl, b2 in successors[b] if lbl == label)
+        for label, a2 in zip(labels[a], targets[a]):
+            responses = sorted(b2 for lbl, b2 in zip(labels[b], targets[b]) if lbl == label)
             rdepths = [depth(a2, b2) for b2 in responses]
             if all(0 < d < here for d in rdepths):
                 candidates.append((side, label, a2, responses, rdepths))
@@ -251,7 +246,7 @@ def _best_challenge(name, labels, keys, successors, x, y, depth):
     response = max(zip(rdepths, responses))[1] if responses else None
     move = PlayMove(
         side=side,
-        label=labels[label],
+        label=table[label],
         source_pair=(name(x), name(y)),
         challenger_target=name(a2),
         response_target=None if response is None else name(response),
@@ -305,7 +300,7 @@ def _verdict(lts1: Lts, lts2: Lts, eta: Correspondence, kind: str, cap: int) -> 
     lts1 = relabel(lts1, _eta_obs(eta))
     touched = lts1.has_overflow() or lts2.has_overflow()
 
-    labels, successors, blocks, depth = _refine_union(lts1, lts2)
+    table, labels, targets, blocks, depth = _refine_union(lts1, lts2)
     n1, name = len(lts1.states), _state_namer(lts1, lts2)
 
     if blocks[lts1.initial] == blocks[n1 + lts2.initial]:
@@ -322,7 +317,7 @@ def _verdict(lts1: Lts, lts2: Lts, eta: Correspondence, kind: str, cap: int) -> 
             touched_overflow=touched or mixed_overflow, eta=eta,
         )
 
-    play = _extract_play(lts1, lts2, labels, successors, depth, name)
+    play = _extract_play(lts1, lts2, table, labels, targets, depth, name)
     return BisimVerdict(
         kind=kind, mode=lts1.mode, result=NOT_BISIMILAR, bound=cap,
         witness=None, play=play, touched_overflow=touched, eta=eta,
@@ -433,7 +428,7 @@ def check_upto(z1: OpenNet, z2: OpenNet, eta: Correspondence, pairs,
 
     touched = False
     # per distinct root marking, per net: whether its weak-closed transition
-    # system overflows, and the root's weak moves that stay within the cap
+    # system overflows, and the root's weak moves within the cap, by label
     cache = {}
 
     def responses(z, which, root, want_label):
@@ -441,13 +436,15 @@ def check_upto(z1: OpenNet, z2: OpenNet, eta: Correspondence, pairs,
         if key not in cache:
             lts = _prepared_lts(z.with_initial(root), "weak", FIRING, tau_labels, cap,
                                 DEFAULT_MAX_STEP)
-            moves = [(label, lts.marking(dst)) for src, label, dst in lts.labelled_edges()
-                     if src == lts.initial and lts.states[dst] is not OVERFLOW]
+            moves = {}
+            for src, label, dst in lts.labelled_edges():
+                if src == lts.initial and lts.states[dst] is not OVERFLOW:
+                    moves.setdefault(label, []).append(lts.marking(dst))
             cache[key] = (lts.has_overflow(), moves)
         overflows, moves = cache[key]
         nonlocal touched
         touched = touched or overflows
-        return [target for label, target in moves if label == want_label]
+        return moves.get(want_label, [])
 
     inverse = eta.inverse()
     for u1, u2 in pair_list:

@@ -347,10 +347,13 @@ def compose_steps(po: PushoutResult, st1: Step, st2: Step, split: StepSplit) -> 
     each side is exactly the mirror image of the other side's internal part
     through the interface.
     """
-    for side, st, internal, external in (
-        ("first", st1, split.a1_internal, split.a1_external),
-        ("second", st2, split.a2_internal, split.a2_external),
+    for side, z, st, internal, external in (
+        ("first", po.f1.target, st1, split.a1_internal, split.a1_external),
+        ("second", po.f2.target, st2, split.a2_internal, split.a2_external),
     ):
+        for event, _ in st.events.items():
+            if event.name not in (z.transitions if event.kind == TRANS else z.places):
+                raise NotCompatible(f"the {side} step holds {event}, which its net does not have")
         if st.events != internal + external:
             raise NotCompatible(f"split does not partition the {side} step's events")
     u0_left = multiset.project(po.f1.place_map, st1.source)

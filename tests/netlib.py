@@ -362,6 +362,19 @@ def rename_net(z: OpenNet, suffix: str) -> tuple[OpenNet, dict, dict]:
     """An isomorphic copy with every id suffixed; returns the two maps."""
     pmap = {s: s + suffix for s in z.places}
     tmap = {t: t + suffix for t in z.transitions}
+    return _renamed(z, pmap, tmap), pmap, tmap
+
+
+def reversed_copy(z: OpenNet) -> OpenNet:
+    """An isomorphic copy whose place ids `r1`, `r2`, ... sort in the reverse
+    order of z's (up to nine places), so a correspondence search meets the
+    identity last."""
+    names = sorted(z.places, reverse=True)
+    return _renamed(z, {s: f"r{k}" for k, s in enumerate(names, start=1)},
+                    {t: t + "_r" for t in z.transitions})
+
+
+def _renamed(z: OpenNet, pmap: dict, tmap: dict) -> OpenNet:
     from opennet import multiset
 
     transitions = {
@@ -372,13 +385,12 @@ def rename_net(z: OpenNet, suffix: str) -> tuple[OpenNet, dict, dict]:
         )
         for t in z.transitions
     }
-    z2 = OpenNet(
+    return OpenNet(
         net=PetriNet(places=frozenset(pmap.values()), transitions=transitions),
         open_in=frozenset(pmap[s] for s in z.open_in),
         open_out=frozenset(pmap[s] for s in z.open_out),
         initial=multiset.image(pmap, z.initial),
     )
-    return z2, pmap, tmap
 
 
 def mutate_preserving(rng: random.Random, z: OpenNet, weak=False):
@@ -514,6 +526,16 @@ def successors(lts) -> list:
     for src, label, dst in lts.labelled_edges():
         out[src].append((label, dst))
     return out
+
+
+def columns(lts) -> tuple[list, list]:
+    """Per state, the label indices and the targets of its edges: the two
+    columns `partition_refinement` reads, taken from `Lts.edges`."""
+    labels, targets = [[] for _ in lts.states], [[] for _ in lts.states]
+    for src, label, dst in lts.edges:
+        labels[src].append(label)
+        targets[src].append(dst)
+    return labels, targets
 
 
 def chain(n: int) -> OpenNet:

@@ -1,5 +1,6 @@
 """Bisimilarity checking, the up-to technique, and their supporting laws."""
 
+import itertools
 import random
 
 import pytest
@@ -42,6 +43,7 @@ from netlib import (
     chain,
     chain_x,
     check_play,
+    columns,
     compared_ltss,
     mutate_preserving,
     naive_bisimulation,
@@ -50,6 +52,7 @@ from netlib import (
     random_lts,
     random_net,
     rename_net,
+    reversed_copy,
     silent_then_act,
     successors,
 )
@@ -213,6 +216,22 @@ def test_search_correspondence_reports_its_correspondence_as_check_bisim_does(op
         assert _verdict_json(found) == _verdict_json(direct)
         results.add(found.result)
     assert {BISIMILAR, NOT_BISIMILAR} <= results
+
+
+def test_search_correspondence_answers_its_first_inconclusive_candidate():
+    # found by a seeded search over random nets: against a copy whose places
+    # sort in reverse, the candidates come NotBisimilar four times, then
+    # Inconclusive twice under two different correspondences, never Bisimilar
+    z1 = random_net(random.Random(3385), max_places=4)
+    z2 = reversed_copy(z1)
+    assert (z1.open_in, len(z1.open_out)) == (frozenset(), 3)
+    etas = [Correspondence(eta_in={}, eta_out=dict(zip(sorted(z1.open_out), outs)))
+            for outs in itertools.permutations(sorted(z2.open_out))]
+    verdicts = [check_bisim(z1, z2, eta, cap=1) for eta in etas]
+    assert [v.result for v in verdicts] == [NOT_BISIMILAR] * 4 + [INCONCLUSIVE] * 2
+    found = search_correspondence(z1, z2, cap=1)
+    assert found.eta == etas[4]
+    assert _verdict_json(found) == _verdict_json(verdicts[4])
 
 
 def test_out_degree():
@@ -383,7 +402,7 @@ def test_partition_refinement_matches_naive_oracle():
     shapes = set()
     for lts in systems + list(_corpus_systems()):
         succ = successors(lts)
-        blocks = partition_refinement(len(lts.states), succ)
+        blocks = partition_refinement(*columns(lts))
         related = naive_bisimulation(len(lts.states), succ)
         for i in range(len(lts.states)):
             for j in range(len(lts.states)):
@@ -398,7 +417,7 @@ def test_refinement_rounds_match_naive_depths_within_one_system():
     for lts in _corpus_systems():
         n, succ = len(lts.states), successors(lts)
         rounds = []
-        partition_refinement(n, succ, rounds)
+        partition_refinement(*columns(lts), rounds)
         depths = naive_separation_depths(n, succ, n, succ)
         # the refinement stops at the first round that changes nothing
         assert len(rounds) == max(depths.values(), default=0)
@@ -410,30 +429,21 @@ def test_refinement_rounds_match_naive_depths_within_one_system():
     assert rounds_seen >= 300
 
 
-def _first_sight(blocks):
-    """A block list renumbered in order of first sight: equal iff the
-    partitions are equal."""
-    numbering = {}
-    return [numbering.setdefault(b, len(numbering)) for b in blocks]
-
-
 def test_refinement_sees_labels_only_through_equality():
-    # strings, tuples, None and multisets, one int per label for comparison;
-    # small systems over two of them make a (label, block) packing that is
-    # not one-to-one merge states
+    # label ids are indices into `shaped`, not numbered from 0: the small
+    # systems use only ids 2 and 4, where a packing width of 2 (the number of
+    # ids) would merge (4, block b) with (2, block b + 1)
     shaped = ["a", ("a", 1), None, Multiset({"a": 2}), Multiset.of("a"), (), 0]
     rng = random.Random(31)
     rounds_seen = 0
-    for k in range(240):
-        labels, size = (shaped, 12) if k % 2 else (shaped[2:4], 5)
+    for trial in range(240):
+        labels, size = (shaped, 12) if trial % 2 else ([shaped[2], shaped[4]], 5)
         lts = random_lts(rng, max_states=size, labels=labels, max_out=3)
         n, succ = len(lts.states), successors(lts)
-        by_index = [[(shaped.index(label), dst) for label, dst in out] for out in succ]
-        rounds, int_rounds = [], []
-        blocks = partition_refinement(n, succ, rounds)
-        int_blocks = partition_refinement(n, by_index, int_rounds)
-        assert _first_sight(blocks) == _first_sight(int_blocks)
-        assert ([_first_sight(r) for r in rounds] == [_first_sight(r) for r in int_rounds])
+        indices, targets = columns(lts)
+        ids = [[shaped.index(lts.labels[label]) for label in out] for out in indices]
+        rounds = []
+        partition_refinement(ids, targets, rounds)
         depths = naive_separation_depths(n, succ, n, succ)
         assert len(rounds) == max(depths.values(), default=0)
         for k, round_blocks in enumerate(rounds, start=1):
@@ -470,13 +480,43 @@ def test_pair_depths_match_naive_oracle():
     assert bisimilar >= 20 and separated >= 20
 
 
+def test_refine_union_merges_equal_labels_held_at_different_indices():
+    # the second table lists fresh but equal copies of the first one's labels
+    # in reverse order, so the systems line up only if labels merge by value
+    obs = Obs("lab", "a")
+    first = [obs, Multiset({obs: 2}), None, EMPTY]
+    second = [Multiset(), None, Multiset({Obs("lab", "a"): 2}), Obs("lab", "a")]
+    rng = random.Random(11)
+    bisimilar = separated = 0
+    for _ in range(120):
+        lts1 = random_lts(rng, max_states=8, labels=first, max_out=2)
+        lts2 = random_lts(rng, max_states=8, labels=second, max_out=2)
+        n1, n2 = len(lts1.states), len(lts2.states)
+        table, labels, targets, _, depth = _refine_union(lts1, lts2)
+        assert table == first
+        oracle = naive_separation_depths(n1, successors(lts1), n2, successors(lts2))
+        for i in range(n1):
+            for j in range(n2):
+                assert depth(i, n1 + j) == oracle.get((i, j), 0), (i, j)
+        initial_depth = oracle.get((lts1.initial, lts2.initial), 0)
+        if initial_depth:
+            play = _extract_play(lts1, lts2, table, labels, targets, depth,
+                                 _state_namer(lts1, lts2))
+            check_play(lts1, lts2, play, initial_depth)
+            separated += 1
+        else:
+            bisimilar += 1
+    assert bisimilar >= 10 and separated >= 10
+
+
 def test_plays_from_refinement_are_lost_games():
     plays = 0
     for lts1, lts2 in _random_lts_pairs():
-        labels, succ, _, depth = _refine_union(lts1, lts2)
+        table, labels, targets, _, depth = _refine_union(lts1, lts2)
         initial_depth = depth(lts1.initial, len(lts1.states) + lts2.initial)
         if initial_depth:
-            play = _extract_play(lts1, lts2, labels, succ, depth, _state_namer(lts1, lts2))
+            play = _extract_play(lts1, lts2, table, labels, targets, depth,
+                                 _state_namer(lts1, lts2))
             check_play(lts1, lts2, play, initial_depth)
             plays += 1
     assert plays >= 20

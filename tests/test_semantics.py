@@ -285,7 +285,21 @@ def _incompatible_two_sided():
         # the second side adds a token to sp; the first must mirror it
         ("first mirror", po, _idle(z1), make_step(z2, z2.initial, plus_sp),
          StepSplit(EMPTY, EMPTY, plus_sp, EMPTY)),
+        # each side holds an event that only the other side's net has
+        ("first unknown transition", po, _holding(z1, trans("t2c")), _idle(z2),
+         StepSplit(Multiset.of(trans("t2c")), EMPTY, EMPTY, EMPTY)),
+        ("second unknown transition", po, _idle(z1), _holding(z2, trans("t1p")),
+         StepSplit(EMPTY, EMPTY, Multiset.of(trans("t1p")), EMPTY)),
+        ("first unknown place", po, _holding(z1, plus("w2")), _idle(z2),
+         StepSplit(Multiset.of(plus("w2")), EMPTY, EMPTY, EMPTY)),
+        ("second unknown place", po, _idle(z1), _holding(z2, minus("w1")),
+         StepSplit(EMPTY, EMPTY, Multiset.of(minus("w1")), EMPTY)),
     ]
+
+
+def _holding(z, event):
+    """A step of z's initial marking holding one event z does not have."""
+    return Step(events=Multiset.of(event), source=z.initial, target=z.initial)
 
 
 def test_compose_steps_incompatible_texts():
@@ -295,6 +309,10 @@ def test_compose_steps_incompatible_texts():
         "second partition": "split does not partition the second step's events",
         "second mirror": "external part of the second step is 0, expected the mirror -s",
         "first mirror": "external part of the first step is 0, expected the mirror +sp",
+        "first unknown transition": "the first step holds t2c, which its net does not have",
+        "second unknown transition": "the second step holds t1p, which its net does not have",
+        "first unknown place": "the first step holds +w2, which its net does not have",
+        "second unknown place": "the second step holds -w1, which its net does not have",
     }
     for name, text in expected.items():
         with pytest.raises(NotCompatible) as info:
