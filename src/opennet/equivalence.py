@@ -15,6 +15,24 @@ pairs, and its rounds give the depth of every cross pair, the number of
 moves in which the challenger wins from it.  The play starts at the initial
 pair and lowers the depth by one per move, so it is as long as the initial
 pair's depth.  Witness and play write states as their markings' text.
+
+A strong check first answers NotBisimilar, when it can, from the states
+near the initial markings (on-the-fly checking, after Fernandez & Mounier,
+CAV 1991).  `build_lts` explores level by level, so the states within
+distance k of the initial marking are a prefix of `Lts.states`, and the
+edges of those within distance k - 1 a prefix of `Lts.edges`.  The union of
+these two balls is refined for at most k rounds, at k = 1, 2 and 4.  The
+answer is exact for these reasons:
+- the round-r block of a state at distance j depends only on the edges of
+  the states within distance j + r - 1, so it is exact when j + r <= k; at
+  j = 0, a separation within k rounds is the initial pair's depth d;
+- a play of depth d <= k consults, at distance j, only rounds below d - j,
+  so it is the play of the full systems;
+- the truncated rounds are still the nested partitions of a finite graph,
+  so `depth`'s binary search over them stays valid.
+Otherwise the same two searches run to their end and the full union is
+refined; no level is explored twice.  Weak checks take the full path: a
+closure edge spans any number of silent steps.
 """
 
 from __future__ import annotations
@@ -127,7 +145,7 @@ def subtractable_markings(z: OpenNet, u: Multiset):
         yield Multiset({s: c for s, c in zip(places, counts) if c})
 
 
-def partition_refinement(labels, targets, rounds: list | None = None) -> list:
+def partition_refinement(labels, targets, rounds: list | None = None, until=None) -> list:
     """Coarsest bisimulation partition of a finite labelled graph.
 
     State i's edges are the columns `labels[i]` and `targets[i]`, read in
@@ -141,7 +159,10 @@ def partition_refinement(labels, targets, rounds: list | None = None) -> list:
     states share a round-k block iff they are k-step bisimilar.  Each
     partition refines the one before it.  When `rounds` is given, the block
     list of every round that changed the partition is appended to it, round
-    1 first, so its last entry (if any) is the returned partition.
+    1 first, so its last entry (if any) is the returned partition.  When
+    `until` is given, it is asked about the block list of each round that
+    changed the partition, and the refinement stops at the first one it
+    accepts: the partition returned is then that round's.
     """
     width = 1 + max((max(lbls) for lbls in labels if lbls), default=0)
     blocks = [0] * len(labels)
@@ -158,6 +179,8 @@ def partition_refinement(labels, targets, rounds: list | None = None) -> list:
             return blocks
         if rounds is not None:
             rounds.append(new_blocks)
+        if until is not None and until(new_blocks):
+            return new_blocks
         blocks = new_blocks
 
 
@@ -185,14 +208,19 @@ def _refine_union(lts1: Lts, lts2: Lts):
             targets[offset + src].append(offset + dst)
     rounds = []
     blocks = partition_refinement(labels, targets, rounds)
+    return list(table), labels, targets, blocks, _depth(rounds)
 
+
+def _depth(rounds: list):
+    """depth(x, y) over the rounds of a refinement, as `_refine_union`
+    describes it."""
     def depth(x: int, y: int) -> int:
         # the number of rounds, a prefix, that keep x and y in one block
         shared = bisect.bisect(range(len(rounds)), False,
                                key=lambda k: rounds[k][x] != rounds[k][y])
         return 0 if shared == len(rounds) else shared + 1
 
-    return list(table), labels, targets, blocks, depth
+    return depth
 
 
 def _state_namer(lts1: Lts, lts2: Lts):
@@ -267,11 +295,91 @@ def _eta_obs(eta: Correspondence):
     return fn
 
 
+class _Columns:
+    """One system of a local check: its search, and the edges found so far
+    in `_refine_union`'s columns, with targets counted within this system."""
+
+    def __init__(self, search, rename):
+        self.search, self.rename = search, rename
+        self.ids = []  # search label index -> union label id
+        self.labels, self.targets = [], []
+        self.read = 0  # the search's edges already in the columns
+
+    def grow(self, table: dict):
+        """Add what the search found since the last call; table merges the
+        (renamed) labels of both systems by value."""
+        search, ids, labels, targets = self.search, self.ids, self.labels, self.targets
+        ids += [table.setdefault(self.rename(label), len(table))
+                for label in itertools.islice(search.table, len(ids), None)]
+        new = len(search.states) - len(labels)
+        labels += [[] for _ in range(new)]
+        targets += [[] for _ in range(new)]
+        for src, label, dst in search.edges[self.read:]:
+            labels[src].append(ids[label])
+            targets[src].append(dst)
+        self.read = len(search.edges)
+
+
+RADII = (1, 2, 4)
+
+
+def _local_verdict(searches, eta: Correspondence, cap: int) -> BisimVerdict | None:
+    """A strong check's NotBisimilar verdict, found from the balls around
+    the initial markings as the module docstring says; None when they do
+    not settle it, or when both searches are done before.
+
+    Both searches advance in lockstep, and the refinement stops once the
+    initial pair separates or the partition stops changing.  After an
+    answer, the searches go on only until one of them overflows, or both are
+    done, which decides `touched_overflow` as the full systems would.
+    """
+    table = {}
+    columns = [_Columns(searches[0], functools.partial(semantics.rename_label, fn=_eta_obs(eta))),
+               _Columns(searches[1], lambda label: label)]
+    reached = 0
+    for radius in RADII:
+        for _ in range(radius - reached):
+            for search in searches:
+                search.level()
+        reached = radius
+        if all(search.done for search in searches):
+            return None  # nothing is left to spare
+        for side in columns:
+            side.grow(table)
+        first, second = columns
+        n1 = len(first.labels)
+        labels = first.labels + second.labels
+        targets = first.targets + [[dst + n1 for dst in row] for row in second.targets]
+        rounds = []
+        blocks = partition_refinement(
+            labels, targets, rounds,
+            until=lambda blocks: blocks[0] != blocks[n1] or len(rounds) == radius)
+        if blocks[0] == blocks[n1]:
+            continue
+        lts1, lts2 = (search.ball() for search in searches)
+        play = _extract_play(lts1, lts2, list(table), labels, targets, _depth(rounds),
+                             _state_namer(lts1, lts2))
+        while not (any(search.overflowed for search in searches)
+                   or all(search.done for search in searches)):
+            for search in searches:
+                search.level()
+        return BisimVerdict(
+            kind="strong", mode=lts1.mode, result=NOT_BISIMILAR, bound=cap, witness=None,
+            play=play, touched_overflow=any(search.overflowed for search in searches), eta=eta,
+        )
+    return None
+
+
 def _prepared_lts(z: OpenNet, kind, mode, tau_labels, cap, max_step) -> Lts:
     lts = build_lts(z, mode=mode, cap=cap, max_step=max_step)
     if kind == "weak":
         lts = weak_closure(lts, tau_labels)
     return lts
+
+
+def _check_kind(kind: str):
+    if kind not in ("strong", "weak"):
+        raise UnsupportedMode(f"unknown kind {kind!r}; expected 'strong' or 'weak'")
 
 
 def _check_correspondence(eta: Correspondence, z1: OpenNet, z2: OpenNet):
@@ -288,10 +396,21 @@ def check_bisim(z1: OpenNet, z2: OpenNet, eta: Correspondence,
 
     The correspondence aligns the interaction observations of the first net
     with those of the second; transition labels are compared as they are.
+    A strong check first looks for a NotBisimilar answer near the initial
+    markings (`_local_verdict`), and otherwise explores both nets in full.
     """
+    _check_kind(kind)
     _check_correspondence(eta, z1, z2)
-    lts1, lts2 = (_prepared_lts(z, kind, mode, tau_labels, cap, max_step) for z in (z1, z2))
-    return _verdict(lts1, lts2, eta, kind, cap)
+    if kind == "weak":
+        lts1, lts2 = (_prepared_lts(z, kind, mode, tau_labels, cap, max_step) for z in (z1, z2))
+        return _verdict(lts1, lts2, eta, kind, cap)
+    searches = [semantics._Search(z, mode, cap, max_step) for z in (z1, z2)]
+    verdict = _local_verdict(searches, eta, cap)
+    if verdict is None:
+        # finish the searches already started; no level is explored twice
+        lts1, lts2 = (build_lts(z, search=search) for z, search in zip((z1, z2), searches))
+        verdict = _verdict(lts1, lts2, eta, kind, cap)
+    return verdict
 
 
 def _verdict(lts1: Lts, lts2: Lts, eta: Correspondence, kind: str, cap: int) -> BisimVerdict:
@@ -336,6 +455,7 @@ def search_correspondence(z1: OpenNet, z2: OpenNet, kind="strong", mode=FIRING,
     the nets are bisimilar iff some eta works.  Interfaces are required to
     be small, the search being factorial.
     """
+    _check_kind(kind)
     for side in ("+", "-"):
         if len(z1.opens(side)) > MAX_AUTO_INTERFACE or len(z2.opens(side)) > MAX_AUTO_INTERFACE:
             raise NotACorrespondence(

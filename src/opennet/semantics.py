@@ -32,6 +32,7 @@ from .errors import (
     NotCompatible,
     NotEnabled,
     ProjectionMismatch,
+    UnsupportedMode,
 )
 from .multiset import EMPTY, Multiset, format_counts
 from .nets import Morphism, OpenNet
@@ -250,6 +251,15 @@ def _steps(need, delta, pmask, guard, ones, u: int, max_step: int) -> list:
     return found
 
 
+def _step_bound(mode: str, max_step: int) -> int:
+    """The most events in one step: 1 when firing."""
+    if mode == FIRING:
+        return 1
+    if mode == STEP:
+        return max_step
+    raise UnsupportedMode(f"unknown mode {mode!r}; expected {FIRING!r} or {STEP!r}")
+
+
 def enabled_steps(z: OpenNet, u: Multiset, mode: str = FIRING,
                   cap: int = DEFAULT_CAP, max_step: int = DEFAULT_MAX_STEP) -> list:
     """All steps executable at u, in canonical order.
@@ -258,7 +268,7 @@ def enabled_steps(z: OpenNet, u: Multiset, mode: str = FIRING,
     step mode lists every non-empty multiset of at most max_step events
     whose target stays within the per-place cap.
     """
-    bound = 1 if mode == FIRING else max_step
+    bound = _step_bound(mode, max_step)
     places, events, need, delta, pmask, guard, ones, over, marking, decode = _lower(
         z, u, cap, bound)
     return [
@@ -490,57 +500,110 @@ def label_sort_key(label):
     return ("3other", repr(label))
 
 
+class _Search:
+    """The breadth-first search of `build_lts`, run a level at a time.
+
+    The search keys its states by packed marking (`_lower`): a target is
+    over the cap when (target + over) sets a top bit.  After k calls of
+    `level`, `states` holds every state within distance k of the initial
+    marking and `edges` the edges of every state within distance k − 1, in
+    the order `build_lts` lists them; `done` tells when nothing is left.
+    """
+
+    def __init__(self, z: OpenNet, mode: str, cap: int, max_step: int):
+        bound = _step_bound(mode, max_step)
+        if cap < 0 or max_step < 0:
+            raise InvalidBound(
+                f"the cap ({cap}) and the step bound ({max_step}) must be non-negative")
+        if any(n > cap for _, n in z.initial.items()):
+            raise InitialExceedsCap(f"marking {z.initial} exceeds the per-place cap {cap}")
+        self.mode, self.cap, self.bound = mode, cap, bound
+        (self.places, events, self.need, self.delta, self.pmask, self.guard, self.ones,
+         self.over, first, self.decode) = _lower(z, z.initial, cap, bound)
+        self.observed = [observe(z, e) for e in events]
+        self.table = {}  # label -> label index; equal labels share one index
+        self.labels = {}  # event indices -> label index
+        self.states = [first]
+        self.index = {first: 0}
+        self.edges = []
+        self.expanded = 0  # states[:expanded] have their edges listed
+
+    @property
+    def done(self) -> bool:
+        return self.expanded == len(self.states)
+
+    @property
+    def overflowed(self) -> bool:
+        return OVERFLOW in self.index
+
+    def level(self):
+        """List the edges of every state found but not yet expanded."""
+        need, delta, pmask, guard, ones = self.need, self.delta, self.pmask, self.guard, self.ones
+        over, bound, firing, observed = self.over, self.bound, self.mode == FIRING, self.observed
+        table, labels, states, index, edges = (
+            self.table, self.labels, self.states, self.index, self.edges)
+        stop = len(states)
+        for src in range(self.expanded, stop):
+            u = states[src]
+            if u is OVERFLOW:
+                continue
+            seen = set()
+            for chosen, target in _steps(need, delta, pmask, guard, ones, u, bound):
+                label = labels.get(chosen)
+                if label is None:
+                    obs = (observed[chosen[0]] if firing
+                           else Multiset(observed[e] for e in chosen))
+                    label = labels[chosen] = table.setdefault(obs, len(table))
+                if (target + over) & guard:
+                    target = OVERFLOW
+                dst = index.get(target)
+                if dst is None:
+                    dst = index[target] = len(states)
+                    states.append(target)
+                edge = (src, label, dst)
+                if edge not in seen:
+                    seen.add(edge)
+                    edges.append(edge)
+        self.expanded = stop
+
+    def ball(self) -> Lts:
+        """The part found so far, as an Lts: its states decoded, the search
+        left as it is."""
+        decode = self.decode
+        return Lts([u if u is OVERFLOW else decode(u) for u in self.states], self.places,
+                   list(self.table), list(self.edges), initial=0, mode=self.mode, cap=self.cap)
+
+    def lts(self) -> Lts:
+        """Run the search to the end.  Its index is dropped and each state
+        is decoded, in place, into the tuple of counts that `Lts` keeps."""
+        while not self.done:
+            self.level()
+        del self.index
+        states, decode = self.states, self.decode
+        for i, u in enumerate(states):
+            if u is not OVERFLOW:
+                states[i] = decode(u)
+        return Lts(states, self.places, list(self.table), self.edges, initial=0,
+                   mode=self.mode, cap=self.cap)
+
+
 def build_lts(z: OpenNet, mode: str = FIRING, cap: int = DEFAULT_CAP,
-              max_step: int = DEFAULT_MAX_STEP) -> Lts:
+              max_step: int = DEFAULT_MAX_STEP, *, search: _Search | None = None) -> Lts:
     """Breadth-first exploration of the capped marking space.
 
     Any step that would leave the cap region leads to the absorbing overflow
     state, which has no outgoing edges.  Exploration order is canonical, so
     repeated runs yield identical state and edge lists.  A firing is the
-    step of one event, so firing mode explores the steps of size 1.  The
-    search keys its states by packed marking (`_lower`): a target is over
-    the cap when (target + over) sets a top bit.  Once the search is done,
-    its index is dropped and each state is decoded, in place, into the
-    tuple of counts that `Lts` keeps.
+    step of one event, so firing mode explores the steps of size 1.
+
+    The exploration goes a level at a time (`_Search`), so for every k the
+    states within distance k of the initial marking are a prefix of
+    `states`, and the edges of the states within distance k − 1, which all
+    land among them, are a prefix of `edges`.  `search`, when given, is a
+    search of z with these bounds that a caller has started; it is run on to
+    the end instead of a new one.
     """
-    if cap < 0 or max_step < 0:
-        raise InvalidBound(f"the cap ({cap}) and the step bound ({max_step}) must be non-negative")
-    if any(n > cap for _, n in z.initial.items()):
-        raise InitialExceedsCap(f"marking {z.initial} exceeds the per-place cap {cap}")
-    bound = 1 if mode == FIRING else max_step
-    places, events, need, delta, pmask, guard, ones, over, first, decode = _lower(
-        z, z.initial, cap, bound)
-    observed = [observe(z, e) for e in events]
-    table = {}  # label -> label index; equal labels share one index
-    labels = {}  # event indices -> label index
-    states = [first]
-    index = {first: 0}
-    edges = []
-    for src, u in enumerate(states):  # breadth first: states grows as it is walked
-        if u is OVERFLOW:
-            continue
-        seen = set()
-        for chosen, target in _steps(need, delta, pmask, guard, ones, u, bound):
-            label = labels.get(chosen)
-            if label is None:
-                obs = (observed[chosen[0]] if mode == FIRING
-                       else Multiset(observed[e] for e in chosen))
-                label = labels[chosen] = table.setdefault(obs, len(table))
-            if (target + over) & guard:
-                target = OVERFLOW
-            dst = index.get(target)
-            if dst is None:
-                dst = index[target] = len(states)
-                states.append(target)
-            edge = (src, label, dst)
-            if edge not in seen:
-                seen.add(edge)
-                edges.append(edge)
-    del index, seen
-    for i, state in enumerate(states):
-        if state is not OVERFLOW:
-            states[i] = decode(state)
-    return Lts(states, places, list(table), edges, initial=0, mode=mode, cap=cap)
+    return (search or _Search(z, mode, cap, max_step)).lts()
 
 
 def weak_closure(lts: Lts, tau_labels) -> Lts:
@@ -613,9 +676,16 @@ def relabel(lts: Lts, fn) -> Lts:
     Only the label table is renamed: the result shares the states and the
     edges of `lts`.
     """
-    return replace(lts, labels=[
-        label if label is None else fn(label) if isinstance(label, Obs)
-        else Multiset({fn(o): n for o, n in label.items()}) for label in lts.labels])
+    return replace(lts, labels=[rename_label(label, fn) for label in lts.labels])
+
+
+def rename_label(label, fn):
+    """The label with fn applied to each of its observations."""
+    if label is None:
+        return label
+    if isinstance(label, Obs):
+        return fn(label)
+    return Multiset({fn(o): n for o, n in label.items()})
 
 
 def format_marking(places, state) -> str:

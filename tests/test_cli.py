@@ -31,6 +31,10 @@ CASES = [
     ("bisim_chain3_vs_x_weak.out", 1,
      ["chain3.json", "chain3_x.json", "--eta", "chain3.eta.json",
       "--kind", "weak", "--tau", "a1", "--cap", "3"]),
+    # a play of 3 moves, within the radii checked near the initial markings
+    ("bisim_chain5_vs_x.out", 1, ["chain5.json", "chain5_x.json", "--cap", "4"]),
+    # a play of 8 moves, beyond them: answered by the full refinement
+    ("bisim_chain8_vs_drain.out", 1, ["chain8.json", "chain8_drain.json", "--cap", "1"]),
 ]
 
 

@@ -15,6 +15,7 @@ from opennet.equivalence import (
     _extract_play,
     _refine_union,
     _state_namer,
+    _verdict,
     check_bisim,
     check_upto,
     induced_correspondence,
@@ -25,6 +26,8 @@ from opennet.equivalence import (
     subtractable_markings,
 )
 from opennet.errors import (
+    InitialExceedsCap,
+    InvalidBound,
     NotACorrespondence,
     PairExceedsCap,
     UnknownPlace,
@@ -175,8 +178,8 @@ def _two_by_two(second_label):
     )
 
 
-def test_search_correspondence_explores_each_net_once(monkeypatch):
-    # NotBisimilar under all four correspondences, so every one is tried
+def _counting_builds(monkeypatch) -> list:
+    """The nets `equivalence` hands to `build_lts`, collected as it runs."""
     builds = []
 
     def counting(z, *args, **kwargs):
@@ -184,6 +187,12 @@ def test_search_correspondence_explores_each_net_once(monkeypatch):
         return build_lts(z, *args, **kwargs)
 
     monkeypatch.setattr(equivalence, "build_lts", counting)
+    return builds
+
+
+def test_search_correspondence_explores_each_net_once(monkeypatch):
+    # NotBisimilar under all four correspondences, so every one is tried
+    builds = _counting_builds(monkeypatch)
     z1, z2 = _two_by_two("b"), _two_by_two("c")
     verdict = search_correspondence(z1, z2, kind="strong", mode=FIRING, cap=1)
     assert verdict.result == NOT_BISIMILAR
@@ -538,11 +547,14 @@ def test_verdict_play_is_a_lost_game(case):
     check_play(lts1, lts2, verdict.play, oracle[(lts1.initial, lts2.initial)])
 
 
-def test_chain5_against_chain5_x_at_cap_4():
-    """The case whose cross-product depth fixpoint took minutes."""
+def test_chain5_against_chain5_x_at_cap_4(monkeypatch):
+    """The case whose cross-product depth fixpoint took minutes, and which
+    is answered near the initial markings, building neither system."""
+    builds = _counting_builds(monkeypatch)
     options = dict(kind="strong", mode=FIRING, cap=4)
     eta = Correspondence(eta_in={"p0": "p0"}, eta_out={"p4": "p4"})
     verdict = check_bisim(chain(5), chain_x(5), eta, **options)
+    assert builds == []
     assert verdict.result == NOT_BISIMILAR
     assert len(verdict.play) == 3
     lts1, lts2 = compared_ltss(chain(5), chain_x(5), eta, **options)
@@ -658,3 +670,144 @@ def test_touched_overflow_when_only_one_side_overflows(overflowing_first):
     verdict = check_bisim(*pair, Correspondence(eta_in={}, eta_out={"q": "q"}), cap=2)
     assert verdict.result == NOT_BISIMILAR
     assert verdict.touched_overflow
+
+
+# ------------------------------------------- the local NotBisimilar answer
+
+
+def _full_verdict(z1, z2, eta, mode, cap, max_step):
+    """The strong verdict on the two systems explored in full."""
+    lts1, lts2 = (build_lts(z, mode, cap=cap, max_step=max_step) for z in (z1, z2))
+    return _verdict(lts1, lts2, eta, "strong", cap)
+
+
+LOCAL_OPTIONS = [(FIRING, cap, 1) for cap in (1, 2, 3)] + [
+    (STEP, cap, max_step) for cap in (1, 2) for max_step in (2, 3)]
+
+
+def _strong_pairs(count):
+    """Seeded pairs: independent random nets under the correspondence that
+    pairs their open places in sorted order, and behaviour-preserving
+    mutants under their own correspondence."""
+    rng = random.Random(2208)
+    for _ in range(count):
+        z = random_net(rng, max_places=3)
+        yield z, *mutate_preserving(rng, z)[:2]
+        other = random_net(rng, max_places=3, prefix="o")
+        if (len(z.open_in), len(z.open_out)) == (len(other.open_in), len(other.open_out)):
+            yield z, other, Correspondence(
+                eta_in=dict(zip(sorted(z.open_in), sorted(other.open_in))),
+                eta_out=dict(zip(sorted(z.open_out), sorted(other.open_out))))
+
+
+def test_strong_checks_answer_as_the_full_systems_do(monkeypatch):
+    builds = _counting_builds(monkeypatch)
+    local = results = 0
+    outcomes = set()
+    for z1, z2, eta in _strong_pairs(120):
+        for mode, cap, max_step in LOCAL_OPTIONS:
+            del builds[:]
+            verdict = check_bisim(z1, z2, eta, mode=mode, cap=cap, max_step=max_step)
+            assert _verdict_json(verdict) == _verdict_json(
+                _full_verdict(z1, z2, eta, mode, cap, max_step))
+            local += not builds
+            outcomes.add((verdict.result, not builds, verdict.touched_overflow))
+            results += 1
+    assert results >= 1000
+    # answered near the initial markings, and in full both ways
+    assert {(NOT_BISIMILAR, True, True), (NOT_BISIMILAR, False, True),
+            (BISIMILAR, False, False)} <= outcomes
+    assert local >= 100
+
+
+def test_a_loop_against_a_two_step_cycle_is_bisimilar():
+    # within radius 1 the cycle's second state has no edge yet: refining that
+    # ball for a second round would separate the initial pair
+    loop = build_net(["p"], {"t": ("a", {"p": 1}, {"p": 1})}, initial={"p": 1})
+    cycle = build_net(["q0", "q1"], {"t0": ("a", {"q0": 1}, {"q1": 1}),
+                                     "t1": ("a", {"q1": 1}, {"q0": 1})}, initial={"q0": 1})
+    for mode in (FIRING, STEP):
+        verdict = check_bisim(loop, cycle, EMPTY_ETA, mode=mode, cap=1)
+        assert verdict.result == BISIMILAR
+        assert verdict.witness == [("p", "q0"), ("p", "q1")]
+
+
+def test_a_play_beyond_the_radii_is_answered_in_full(monkeypatch):
+    builds = _counting_builds(monkeypatch)
+    drained = build_net([f"p{i}" for i in range(8)], {
+        **{f"t{i}": (f"a{i}", {f"p{i}": 1}, {f"p{i + 1}": 1}) for i in range(7)},
+        "d": ("z", {"p7": 1}, {})}, open_in=["p0"], open_out=["p7"], initial={"p0": 1})
+    eta = Correspondence(eta_in={"p0": "p0"}, eta_out={"p7": "p7"})
+    verdict = check_bisim(chain(8), drained, eta, cap=1)
+    assert len(verdict.play) == 8 and len(builds) == 2
+
+
+def _growing(label):
+    """A closed net that puts one more token on q with each move."""
+    return build_net(["p", "q"], {"t": (label, {"p": 1}, {"p": 1, "q": 1})}, initial={"p": 1})
+
+
+def _closed_chain(*labels):
+    places = [f"c{i}" for i in range(len(labels) + 1)]
+    return build_net(places, {f"t{i}": (label, {places[i]: 1}, {places[i + 1]: 1})
+                              for i, label in enumerate(labels)}, initial={places[0]: 1})
+
+
+@pytest.mark.parametrize("pair, touched", [
+    # input-open: overflow lies within the ball that answers
+    ((chain(3), chain_x(3), Correspondence(eta_in={"p0": "p0"}, eta_out={"p2": "p2"})), True),
+    # closed: answered at radius 1, overflow three moves away
+    ((_growing("a"), _growing("b"), EMPTY_ETA), True),
+    # closed and never over the cap: the searches run to their end
+    ((_closed_chain("a", "b", "b"), _closed_chain("a", "c", "b"), EMPTY_ETA), False),
+])
+def test_touched_overflow_of_a_local_answer_is_the_full_systems_flag(monkeypatch, pair, touched):
+    builds = _counting_builds(monkeypatch)
+    for mode in (FIRING, STEP):
+        verdict = check_bisim(*pair, mode=mode, cap=2, max_step=2)
+        assert builds == []
+        assert verdict.result == NOT_BISIMILAR and verdict.touched_overflow is touched
+        assert _verdict_json(verdict) == _verdict_json(_full_verdict(*pair, mode, 2, 2))
+
+
+@pytest.mark.parametrize("kind", ["strong", "weak"])
+@pytest.mark.parametrize("mode", [FIRING, STEP])
+def test_refusals_come_in_their_order(kind, mode):
+    def net(initial, open_in=()):
+        return build_net(["p"], {"t": ("a", {"p": 1}, {"p": 1})}, open_in=list(open_in),
+                         initial={"p": initial})
+
+    bad_eta = Correspondence(eta_in={"p": "p"}, eta_out={})
+    cases = [
+        ((net(3), net(3), bad_eta, -1, 2), NotACorrespondence,
+         "NotBijective: input component is not a bijection onto the open places\n"
+         "NotBijective: input component is not total on the open places"),
+        ((net(3), net(4), EMPTY_ETA, -1, 2), InvalidBound,
+         "the cap (-1) and the step bound (2) must be non-negative"),
+        ((net(1), net(1), EMPTY_ETA, 1, -1), InvalidBound,
+         "the cap (1) and the step bound (-1) must be non-negative"),
+        ((net(3), net(4), EMPTY_ETA, 2, 2), InitialExceedsCap,
+         "marking p:3 exceeds the per-place cap 2"),
+        ((net(1), net(4), EMPTY_ETA, 2, 2), InitialExceedsCap,
+         "marking p:4 exceeds the per-place cap 2"),
+    ]
+    for (z1, z2, eta, cap, max_step), error, text in cases:
+        with pytest.raises(error) as raised:
+            check_bisim(z1, z2, eta, kind=kind, mode=mode, cap=cap, max_step=max_step)
+        assert str(raised.value) == text
+
+
+@pytest.mark.parametrize("search", [False, True])
+@pytest.mark.parametrize("options, text", [
+    (dict(kind="Weak"), "unknown kind 'Weak'; expected 'strong' or 'weak'"),
+    (dict(kind="weak", mode="Firing"), "unknown mode 'Firing'; expected 'firing' or 'step'"),
+    (dict(mode="steps"), "unknown mode 'steps'; expected 'firing' or 'step'"),
+])
+def test_an_unknown_kind_or_mode_is_refused(search, options, text):
+    z1, z2 = agency_a(), agency_b()
+    with pytest.raises(UnsupportedMode) as raised:
+        if search:
+            search_correspondence(z1, z2, cap=1, **options)
+        else:
+            check_bisim(z1, z2, EMPTY_ETA, cap=1, **options)
+    assert str(raised.value) == text

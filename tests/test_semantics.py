@@ -18,8 +18,10 @@ from opennet.errors import (
     InvalidBound,
     NotCompatible,
     NotEnabled,
+    UnsupportedMode,
 )
 from opennet.multiset import EMPTY, Multiset
+from opennet import semantics
 from opennet.nets import Morphism
 from opennet.semantics import (
     DEFAULT_CAP,
@@ -471,6 +473,59 @@ def test_build_lts_rejects_negative_bounds(bounds):
     # the empty initial marking is within any cap, so only the bound check can refuse
     with pytest.raises(InvalidBound):
         build_lts(absorber(), STEP, **bounds)
+
+
+@pytest.mark.parametrize("mode", ["Firing", "steps", None])
+def test_an_unknown_mode_is_refused_where_the_search_starts(mode):
+    text = f"unknown mode {mode!r}; expected 'firing' or 'step'"
+    with pytest.raises(UnsupportedMode) as raised:
+        build_lts(agency_a(), mode, cap=1)
+    assert str(raised.value) == text
+    with pytest.raises(UnsupportedMode) as raised:
+        enabled_steps(agency_a(), agency_a().initial, mode, cap=1)
+    assert str(raised.value) == text
+
+
+def _distances(lts) -> list:
+    """Each state's distance from the initial state, by its own breadth-first walk."""
+    succ = [[] for _ in lts.states]
+    for src, _, dst in lts.edges:
+        succ[src].append(dst)
+    dist, queue = {lts.initial: 0}, [lts.initial]
+    for x in queue:
+        for y in succ[x]:
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return [dist[i] for i in range(len(lts.states))]
+
+
+def test_the_search_finds_a_level_at_a_time():
+    """After k levels, the states within distance k are a prefix of the
+    states, and the edges of those within k - 1 a prefix of the edges."""
+    rng = random.Random(23)
+    levels = 0
+    for _ in range(60):
+        z = random_net(rng, max_places=3)
+        for mode, cap, max_step in ((FIRING, 2, 1), (STEP, 1, 2)):
+            full = build_lts(z, mode, cap=cap, max_step=max_step)
+            dist = _distances(full)
+            search = semantics._Search(z, mode, cap, max_step)
+            k = 0
+            while not search.done:
+                search.level()
+                k += 1
+                ball = search.ball()
+                within = sum(d <= k for d in dist)
+                assert ball.states == full.states[:within]
+                assert ball.edges == [e for e in full.edges if dist[e[0]] < k]
+                assert ball.edges == full.edges[:len(ball.edges)]
+                assert ball.labels == full.labels[:len(ball.labels)]
+                assert search.overflowed == (OVERFLOW in ball.states)
+            levels += k
+            lts = build_lts(z, search=search)
+            assert (lts.states, lts.labels, lts.edges) == (full.states, full.labels, full.edges)
+    assert levels >= 300
 
 
 def test_build_lts_deterministic():
