@@ -35,6 +35,8 @@ CASES = [
     ("bisim_chain5_vs_x.out", 1, ["chain5.json", "chain5_x.json", "--cap", "4"]),
     # a play of 8 moves, beyond them: answered by the full refinement
     ("bisim_chain8_vs_drain.out", 1, ["chain8.json", "chain8_drain.json", "--cap", "1"]),
+    # two candidate correspondences: the second, x to q and y to p, is the witness
+    ("bisim_crosswise_auto.out", 0, ["crosswise_a.json", "crosswise_b.json", "--cap", "2"]),
 ]
 
 
