@@ -43,12 +43,15 @@ def _read(path: str) -> str:
         raise OpenNetError(f"cannot read {path}: {exc}")
 
 
-def _write_out(doc: dict, out: str | None):
-    text = documents.dumps(doc)
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
+def _write(path: str | None, text: str):
+    """Write text to the file at path, or to stdout when there is no path."""
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise OpenNetError(f"cannot write {path}: {exc}")
 
 
 def _tau_set(arg: str | None) -> frozenset:
@@ -100,7 +103,7 @@ def cmd_compose(args) -> int:
         "right_leg": documents.morphism_to_json(po.alpha2),
         "origins": {item: list(origin) for item, origin in naming.items()},
     }
-    _write_out(doc, args.out)
+    _write(args.out, documents.dumps(doc))
     return EXIT_OK
 
 
@@ -111,7 +114,7 @@ def cmd_lts(args) -> int:
     if tau:
         lts = semantics.weak_closure(lts, tau)
     if args.dot:
-        Path(args.dot).write_text(to_dot(lts, name or "lts"), encoding="utf-8")
+        _write(args.dot, to_dot(lts, name or "lts"))
     doc = {
         "net": name,
         "mode": lts.mode,
@@ -121,7 +124,7 @@ def cmd_lts(args) -> int:
         "edges": [[src, format_label(label), dst] for src, label, dst in lts.labelled_edges()],
         "overflow": lts.has_overflow(),
     }
-    _write_out(doc, args.out)
+    _write(args.out, documents.dumps(doc))
     return EXIT_OK
 
 
@@ -140,7 +143,7 @@ def cmd_bisim(args) -> int:
                    cap=args.cap, max_step=args.max_step)
     verdict = (search_correspondence(z1, z2, **options) if eta is None
                else check_bisim(z1, z2, eta, **options))
-    _write_out(_verdict_json(verdict), args.out)
+    _write(args.out, documents.dumps(_verdict_json(verdict)))
     return _VERDICT_EXITS[verdict.result]
 
 
@@ -163,7 +166,7 @@ def cmd_upto(args) -> int:
     }
     if result.reason:
         doc["reason"] = result.reason
-    _write_out(doc, args.out)
+    _write(args.out, documents.dumps(doc))
     return EXIT_OK if result.accepted else EXIT_NEGATIVE
 
 
@@ -180,7 +183,7 @@ def cmd_match(args) -> int:
             "proper": report.ok,
             "violations": [str(v) for v in report.violations],
         })
-    _write_out({"matches": listing, "count": len(matches)}, args.out)
+    _write(args.out, documents.dumps({"matches": listing, "count": len(matches)}))
     return EXIT_OK
 
 
@@ -206,7 +209,7 @@ def cmd_apply(args) -> int:
         "right_embedding": documents.morphism_to_json(result.right_embedding),
         "context_to_result": documents.morphism_to_json(result.context_to_result),
     }
-    _write_out(doc, args.out)
+    _write(args.out, documents.dumps(doc))
     return EXIT_OK
 
 
@@ -217,7 +220,7 @@ def cmd_check_rule(args) -> int:
         rule, kind=args.kind, mode=args.mode, tau_labels=tau,
         cap=args.cap, max_step=args.max_step,
     )
-    _write_out(_verdict_json(verdict), args.out)
+    _write(args.out, documents.dumps(_verdict_json(verdict)))
     if args.save:
         meta = {
             "kind": verdict.kind,
@@ -225,7 +228,7 @@ def cmd_check_rule(args) -> int:
             "cap": verdict.bound,
             "result": verdict.result,
         }
-        Path(args.rule).write_text(documents.emit_rule(rule, meta), encoding="utf-8")
+        _write(args.rule, documents.emit_rule(rule, meta))
     return _VERDICT_EXITS[verdict.result]
 
 

@@ -14,7 +14,10 @@ everything: its final partition decides the verdict and groups the witness
 pairs, and its rounds give the depth of every cross pair, the number of
 moves in which the challenger wins from it.  The play starts at the initial
 pair and lowers the depth by one per move, so it is as long as the initial
-pair's depth.  Witness and play write states as their markings' text.
+pair's depth.  Witness and play write states as their markings' text.  A
+check lays the union's edges out once (`_Columns`): grown from its two
+searches in a strong check, read once from the prepared systems in a weak
+check and for each candidate eta of `search_correspondence`.
 
 A strong check first answers NotBisimilar, when it can, from the states
 near the initial markings (on-the-fly checking, after Fernandez & Mounier,
@@ -30,9 +33,10 @@ answer is exact for these reasons:
   so it is the play of the full systems;
 - the truncated rounds are still the nested partitions of a finite graph,
   so `depth`'s binary search over them stays valid.
-Otherwise the same two searches run to their end and the full union is
-refined; no level is explored twice.  Weak checks take the full path: a
-closure edge spans any number of silent steps.
+Otherwise the same two searches run to their end, the layout grows by the
+edges the attempts did not read, and the full union is refined; no level is
+explored twice.  Weak checks take the full path: a closure edge spans any
+number of silent steps.
 """
 
 from __future__ import annotations
@@ -62,7 +66,6 @@ from .semantics import (
     Obs,
     build_lts,
     label_sort_key,
-    relabel,
     weak_closure,
 )
 
@@ -184,45 +187,6 @@ def partition_refinement(labels, targets, rounds: list | None = None, until=None
         blocks = new_blocks
 
 
-def _refine_union(lts1: Lts, lts2: Lts):
-    """Refine the disjoint union of two transition systems.
-
-    State j of `lts2` is state n1 + j of the union, n1 being the number of
-    states of `lts1`, and the two label tables are merged by value into
-    one, so the refinement and the play compare label ids only.  Returns
-    the union's label table, its edge columns (per union state, the label
-    indices and the targets of its edges), the final block list, and
-    depth(x, y) for union states x and y: the first round whose partition
-    separates the two, so the challenger wins from (x, y) in that many
-    moves and no fewer; 0 means bisimilar.  Partitions are nested, so the
-    rounds that separate a pair form a suffix and a binary search finds it.
-    """
-    table = {}
-    n1 = len(lts1.states)
-    labels = [[] for _ in range(n1 + len(lts2.states))]
-    targets = [[] for _ in labels]
-    for offset, lts in ((0, lts1), (n1, lts2)):
-        ids = [table.setdefault(label, len(table)) for label in lts.labels]
-        for src, label, dst in lts.edges:
-            labels[offset + src].append(ids[label])
-            targets[offset + src].append(offset + dst)
-    rounds = []
-    blocks = partition_refinement(labels, targets, rounds)
-    return list(table), labels, targets, blocks, _depth(rounds)
-
-
-def _depth(rounds: list):
-    """depth(x, y) over the rounds of a refinement, as `_refine_union`
-    describes it."""
-    def depth(x: int, y: int) -> int:
-        # the number of rounds, a prefix, that keep x and y in one block
-        shared = bisect.bisect(range(len(rounds)), False,
-                               key=lambda k: rounds[k][x] != rounds[k][y])
-        return 0 if shared == len(rounds) else shared + 1
-
-    return depth
-
-
 def _state_namer(lts1: Lts, lts2: Lts):
     """The marking text of a union state, each state formatted at most once."""
     places = [lts1.places] * len(lts1.states) + [lts2.places] * len(lts2.states)
@@ -233,7 +197,7 @@ def _state_namer(lts1: Lts, lts2: Lts):
 def _extract_play(lts1: Lts, lts2: Lts, table, labels, targets, depth, name):
     """A shortest alternating challenge/response trace for the initial pair.
 
-    The play walks the union states and label indices `_refine_union`
+    The play walks the union states and label indices `_Columns.refine`
     returns, and `name` writes a union state.  At a pair of depth d the
     challenger picks a move all of whose answers land in pairs of depth
     below d.  Since the pair is (d-1)-step bisimilar, one answer reaches a
@@ -284,7 +248,8 @@ def _best_challenge(name, table, keys, labels, targets, x, y, depth):
     return move, (a2, response) if side == 1 else (response, a2)
 
 
-def _eta_obs(eta: Correspondence):
+def _eta_rename(eta: Correspondence):
+    """The renaming of a label's interactions through eta."""
     def fn(obs: Obs) -> Obs:
         if obs.kind == "plus":
             return Obs("plus", eta.eta_in[obs.name])
@@ -292,50 +257,92 @@ def _eta_obs(eta: Correspondence):
             return Obs("minus", eta.eta_out[obs.name])
         return obs
 
-    return fn
+    return functools.partial(semantics.rename_label, fn=fn)
 
 
 class _Columns:
-    """One system of a local check: its search, and the edges found so far
-    in `_refine_union`'s columns, with targets counted within this system."""
+    """The edge columns of the disjoint union of two systems, each an `Lts`
+    or a `semantics._Search` in progress: anything that lists `states`,
+    `labels` and `edges`.  Labels merge by value into `table`, those of the
+    first system renamed by `rename`, so the refinement and the play compare
+    label ids only; targets count within their own system until `refine`."""
 
-    def __init__(self, search, rename):
-        self.search, self.rename = search, rename
-        self.ids = []  # search label index -> union label id
-        self.labels, self.targets = [], []
-        self.read = 0  # the search's edges already in the columns
+    def __init__(self, first, second, rename):
+        self.systems, self.renames = (first, second), (rename, lambda label: label)
+        self.table = {}  # label -> union label id
+        self.ids = ([], [])  # per system: its label index -> union label id
+        self.labels, self.targets = ([], []), ([], [])  # per system, per state
+        self.read = [0, 0]  # per system: its edges already in the columns
 
-    def grow(self, table: dict):
-        """Add what the search found since the last call; table merges the
-        (renamed) labels of both systems by value."""
-        search, ids, labels, targets = self.search, self.ids, self.labels, self.targets
-        ids += [table.setdefault(self.rename(label), len(table))
-                for label in itertools.islice(search.table, len(ids), None)]
-        new = len(search.states) - len(labels)
-        labels += [[] for _ in range(new)]
-        targets += [[] for _ in range(new)]
-        for src, label, dst in search.edges[self.read:]:
-            labels[src].append(ids[label])
-            targets[src].append(dst)
-        self.read = len(search.edges)
+    def grow(self):
+        """Add what the two systems listed since the last call; each label
+        is renamed and each edge read once."""
+        table = self.table
+        for side, system in enumerate(self.systems):
+            ids, labels, targets = self.ids[side], self.labels[side], self.targets[side]
+            ids += [table.setdefault(self.renames[side](label), len(table))
+                    for label in itertools.islice(system.labels, len(ids), None)]
+            new = len(system.states) - len(labels)
+            labels += [[] for _ in range(new)]
+            targets += [[] for _ in range(new)]
+            for src, label, dst in itertools.islice(system.edges, self.read[side], None):
+                labels[src].append(ids[label])
+                targets[src].append(dst)
+            self.read[side] = len(system.edges)
+
+    def refine(self, until=None):
+        """Grow the columns, then refine the union, `until` as
+        `partition_refinement` takes it.
+
+        State j of the second system is state n1 + j of the union, n1 being
+        the first one's number of states.  Returns the union's label table,
+        its edge columns, the final block list, and depth(x, y) for union
+        states x and y: the first round whose partition separates the two,
+        so the challenger wins from (x, y) in that many moves and no fewer;
+        0 means bisimilar.  Partitions are nested, so the rounds that
+        separate a pair form a suffix and a binary search finds it.
+        """
+        self.grow()
+        (labels1, labels2), (targets1, targets2) = self.labels, self.targets
+        n1 = len(labels1)
+        labels = labels1 + labels2
+        targets = targets1 + [[dst + n1 for dst in row] for row in targets2]
+        rounds = []
+        blocks = partition_refinement(labels, targets, rounds, until)
+
+        def depth(x: int, y: int) -> int:
+            # the number of rounds, a prefix, that keep x and y in one block
+            shared = bisect.bisect(range(len(rounds)), False,
+                                   key=lambda k: rounds[k][x] != rounds[k][y])
+            return 0 if shared == len(rounds) else shared + 1
+
+        return list(self.table), labels, targets, blocks, depth
+
+
+def _not_bisimilar(lts1: Lts, lts2: Lts, union, eta: Correspondence, kind: str,
+                   touched: bool) -> BisimVerdict:
+    """The NotBisimilar verdict on two systems, with the play read off
+    `union`, their refinement as `_Columns.refine` returns it."""
+    table, labels, targets, _, depth = union
+    play = _extract_play(lts1, lts2, table, labels, targets, depth, _state_namer(lts1, lts2))
+    return BisimVerdict(kind=kind, mode=lts1.mode, result=NOT_BISIMILAR, bound=lts1.cap,
+                        witness=None, play=play, touched_overflow=touched, eta=eta)
 
 
 RADII = (1, 2, 4)
 
 
-def _local_verdict(searches, eta: Correspondence, cap: int) -> BisimVerdict | None:
+def _local_verdict(searches, columns: _Columns, eta: Correspondence) -> BisimVerdict | None:
     """A strong check's NotBisimilar verdict, found from the balls around
     the initial markings as the module docstring says; None when they do
-    not settle it, or when both searches are done before.
+    not settle it, or when both searches are done before.  `columns` is the
+    union of the two searches.
 
     Both searches advance in lockstep, and the refinement stops once the
     initial pair separates or the partition stops changing.  After an
     answer, the searches go on only until one of them overflows, or both are
     done, which decides `touched_overflow` as the full systems would.
     """
-    table = {}
-    columns = [_Columns(searches[0], functools.partial(semantics.rename_label, fn=_eta_obs(eta))),
-               _Columns(searches[1], lambda label: label)]
     reached = 0
     for radius in RADII:
         for _ in range(radius - reached):
@@ -344,29 +351,19 @@ def _local_verdict(searches, eta: Correspondence, cap: int) -> BisimVerdict | No
         reached = radius
         if all(search.done for search in searches):
             return None  # nothing is left to spare
-        for side in columns:
-            side.grow(table)
-        first, second = columns
-        n1 = len(first.labels)
-        labels = first.labels + second.labels
-        targets = first.targets + [[dst + n1 for dst in row] for row in second.targets]
-        rounds = []
-        blocks = partition_refinement(
-            labels, targets, rounds,
-            until=lambda blocks: blocks[0] != blocks[n1] or len(rounds) == radius)
+        n1, rounds = len(searches[0].states), itertools.count(1)
+        union = columns.refine(  # the k-th call of until sees round k
+            until=lambda blocks: blocks[0] != blocks[n1] or next(rounds) == radius)
+        blocks = union[3]
         if blocks[0] == blocks[n1]:
             continue
         lts1, lts2 = (search.ball() for search in searches)
-        play = _extract_play(lts1, lts2, list(table), labels, targets, _depth(rounds),
-                             _state_namer(lts1, lts2))
         while not (any(search.overflowed for search in searches)
                    or all(search.done for search in searches)):
             for search in searches:
                 search.level()
-        return BisimVerdict(
-            kind="strong", mode=lts1.mode, result=NOT_BISIMILAR, bound=cap, witness=None,
-            play=play, touched_overflow=any(search.overflowed for search in searches), eta=eta,
-        )
+        return _not_bisimilar(lts1, lts2, union, eta, "strong",
+                              any(search.overflowed for search in searches))
     return None
 
 
@@ -403,43 +400,38 @@ def check_bisim(z1: OpenNet, z2: OpenNet, eta: Correspondence,
     _check_correspondence(eta, z1, z2)
     if kind == "weak":
         lts1, lts2 = (_prepared_lts(z, kind, mode, tau_labels, cap, max_step) for z in (z1, z2))
-        return _verdict(lts1, lts2, eta, kind, cap)
+        return _verdict(lts1, lts2, _Columns(lts1, lts2, _eta_rename(eta)), eta, kind)
     searches = [semantics._Search(z, mode, cap, max_step) for z in (z1, z2)]
-    verdict = _local_verdict(searches, eta, cap)
+    columns = _Columns(*searches, _eta_rename(eta))
+    verdict = _local_verdict(searches, columns, eta)
     if verdict is None:
         # finish the searches already started; no level is explored twice
         lts1, lts2 = (build_lts(z, search=search) for z, search in zip((z1, z2), searches))
-        verdict = _verdict(lts1, lts2, eta, kind, cap)
+        verdict = _verdict(lts1, lts2, columns, eta, kind)
     return verdict
 
 
-def _verdict(lts1: Lts, lts2: Lts, eta: Correspondence, kind: str, cap: int) -> BisimVerdict:
-    """The verdict on two prepared transition systems, the first one's
-    interactions renamed through eta."""
-    lts1 = relabel(lts1, _eta_obs(eta))
+def _verdict(lts1: Lts, lts2: Lts, columns: _Columns, eta: Correspondence,
+             kind: str) -> BisimVerdict:
+    """The verdict on two prepared transition systems whose union
+    `columns` holds, in part or not at all."""
+    union = columns.refine()
     touched = lts1.has_overflow() or lts2.has_overflow()
+    blocks, n1 = union[3], len(lts1.states)
+    if blocks[lts1.initial] != blocks[n1 + lts2.initial]:
+        return _not_bisimilar(lts1, lts2, union, eta, kind, touched)
 
-    table, labels, targets, blocks, depth = _refine_union(lts1, lts2)
-    n1, name = len(lts1.states), _state_namer(lts1, lts2)
-
-    if blocks[lts1.initial] == blocks[n1 + lts2.initial]:
-        by_block = {}
-        for j in range(n1, len(blocks)):
-            by_block.setdefault(blocks[j], []).append(j)
-        states = lts1.states + lts2.states
-        pairs = [(i, j) for i in range(n1) for j in by_block.get(blocks[i], ())]
-        mixed_overflow = any((states[i] is OVERFLOW) != (states[j] is OVERFLOW) for i, j in pairs)
-        result = INCONCLUSIVE if mixed_overflow else BISIMILAR
-        return BisimVerdict(
-            kind=kind, mode=lts1.mode, result=result, bound=cap,
-            witness=[(name(i), name(j)) for i, j in pairs], play=None,
-            touched_overflow=touched or mixed_overflow, eta=eta,
-        )
-
-    play = _extract_play(lts1, lts2, table, labels, targets, depth, name)
+    by_block = {}
+    for j in range(n1, len(blocks)):
+        by_block.setdefault(blocks[j], []).append(j)
+    states, name = lts1.states + lts2.states, _state_namer(lts1, lts2)
+    pairs = [(i, j) for i in range(n1) for j in by_block.get(blocks[i], ())]
+    mixed_overflow = any((states[i] is OVERFLOW) != (states[j] is OVERFLOW) for i, j in pairs)
+    result = INCONCLUSIVE if mixed_overflow else BISIMILAR
     return BisimVerdict(
-        kind=kind, mode=lts1.mode, result=NOT_BISIMILAR, bound=cap,
-        witness=None, play=play, touched_overflow=touched, eta=eta,
+        kind=kind, mode=lts1.mode, result=result, bound=lts1.cap,
+        witness=[(name(i), name(j)) for i, j in pairs], play=None,
+        touched_overflow=touched or mixed_overflow, eta=eta,
     )
 
 
@@ -477,7 +469,7 @@ def search_correspondence(z1: OpenNet, z2: OpenNet, kind="strong", mode=FIRING,
     lts1, lts2 = (_prepared_lts(z, kind, mode, tau_labels, cap, max_step) for z in (z1, z2))
     first = fallback = None
     for eta in etas:
-        verdict = _verdict(lts1, lts2, eta, kind, cap)
+        verdict = _verdict(lts1, lts2, _Columns(lts1, lts2, _eta_rename(eta)), eta, kind)
         if verdict.result == BISIMILAR:
             return verdict
         if verdict.result == INCONCLUSIVE and fallback is None:
@@ -573,7 +565,7 @@ def check_upto(z1: OpenNet, z2: OpenNet, eta: Correspondence, pairs,
             (1, "first", z1, z2, u1, u2, eta),
             (2, "second", z2, z1, u2, u1, inverse),
         ):
-            mirror_obs = _eta_obs(mirror)
+            mirror_label = _eta_rename(mirror)
             for step in semantics.enabled_steps(challenger_z, cu, FIRING, cap, 1):
                 target = step.target
                 if not all(c <= cap for _, c in target.items()):
@@ -586,7 +578,7 @@ def check_upto(z1: OpenNet, z2: OpenNet, eta: Correspondence, pairs,
                 if label.kind == "lab" and label.name in tau_labels:
                     want = None
                 else:
-                    want = mirror_obs(label)
+                    want = mirror_label(label)
                 answered = False
                 for answer in responses(responder_z, direction % 2 + 1, ru, want):
                     for v in subtractable_markings(challenger_z, target):

@@ -508,6 +508,8 @@ class _Search:
     `level`, `states` holds every state within distance k of the initial
     marking and `edges` the edges of every state within distance k − 1, in
     the order `build_lts` lists them; `done` tells when nothing is left.
+    `labels` lists the labels found so far as `Lts.labels` does (a dict, to
+    their index), and `step_labels` maps event indices to a label index.
     """
 
     def __init__(self, z: OpenNet, mode: str, cap: int, max_step: int):
@@ -521,8 +523,8 @@ class _Search:
         (self.places, events, self.need, self.delta, self.pmask, self.guard, self.ones,
          self.over, first, self.decode) = _lower(z, z.initial, cap, bound)
         self.observed = [observe(z, e) for e in events]
-        self.table = {}  # label -> label index; equal labels share one index
-        self.labels = {}  # event indices -> label index
+        self.labels = {}  # label -> label index; equal labels share one index
+        self.step_labels = {}  # event indices -> label index
         self.states = [first]
         self.index = {first: 0}
         self.edges = []
@@ -540,8 +542,8 @@ class _Search:
         """List the edges of every state found but not yet expanded."""
         need, delta, pmask, guard, ones = self.need, self.delta, self.pmask, self.guard, self.ones
         over, bound, firing, observed = self.over, self.bound, self.mode == FIRING, self.observed
-        table, labels, states, index, edges = (
-            self.table, self.labels, self.states, self.index, self.edges)
+        labels, step_labels, states, index, edges = (
+            self.labels, self.step_labels, self.states, self.index, self.edges)
         stop = len(states)
         for src in range(self.expanded, stop):
             u = states[src]
@@ -549,11 +551,11 @@ class _Search:
                 continue
             seen = set()
             for chosen, target in _steps(need, delta, pmask, guard, ones, u, bound):
-                label = labels.get(chosen)
+                label = step_labels.get(chosen)
                 if label is None:
                     obs = (observed[chosen[0]] if firing
                            else Multiset(observed[e] for e in chosen))
-                    label = labels[chosen] = table.setdefault(obs, len(table))
+                    label = step_labels[chosen] = labels.setdefault(obs, len(labels))
                 if (target + over) & guard:
                     target = OVERFLOW
                 dst = index.get(target)
@@ -571,7 +573,7 @@ class _Search:
         left as it is."""
         decode = self.decode
         return Lts([u if u is OVERFLOW else decode(u) for u in self.states], self.places,
-                   list(self.table), list(self.edges), initial=0, mode=self.mode, cap=self.cap)
+                   list(self.labels), list(self.edges), initial=0, mode=self.mode, cap=self.cap)
 
     def lts(self) -> Lts:
         """Run the search to the end.  Its index is dropped and each state
@@ -583,7 +585,7 @@ class _Search:
         for i, u in enumerate(states):
             if u is not OVERFLOW:
                 states[i] = decode(u)
-        return Lts(states, self.places, list(self.table), self.edges, initial=0,
+        return Lts(states, self.places, list(self.labels), self.edges, initial=0,
                    mode=self.mode, cap=self.cap)
 
 

@@ -538,6 +538,15 @@ def columns(lts) -> tuple[list, list]:
     return labels, targets
 
 
+def refine_union(lts1, lts2):
+    """The refinement of the union of two systems, their labels compared as
+    they are: label table, edge columns, blocks and depth, as
+    `equivalence._Columns.refine` returns them."""
+    from opennet.equivalence import _Columns
+
+    return _Columns(lts1, lts2, lambda label: label).refine()
+
+
 def chain(n: int) -> OpenNet:
     """chain-n: t_i moves a token p_i -> p_(i+1) with label a_i.
 

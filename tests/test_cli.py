@@ -104,6 +104,34 @@ def test_lts_dot_quotes_a_net_name_that_is_no_identifier(tmp_path, capsys):
     assert dot.read_text(encoding="utf-8").startswith('digraph "chain3+x" {\n')
 
 
+@pytest.mark.parametrize("args", [
+    ["bisim", "chain3.json", "chain3_copy.json", "--out", "{missing}/report.out"],
+    ["lts", "chain3.json", "--dot", "{missing}/lts.dot"],
+], ids=["out", "dot"])
+def test_a_failed_write_exits_3(tmp_path, capsys, args):
+    missing = tmp_path / "missing"
+    argv = [a.replace("{missing}", str(missing)) for a in _argv(args)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {missing}/") and "Traceback" not in err
+    assert not missing.exists()
+
+
+def test_a_failed_save_exits_3(tmp_path, capsys, monkeypatch):
+    rule = tmp_path / "duplicating_rule.json"
+    rule.write_text((DATA / "duplicating_rule.json").read_text(encoding="utf-8"), encoding="utf-8")
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(Path, "write_text", refuse)
+    assert main(["check-rule", str(rule), "--save"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == (DATA / "check_rule_duplicating.out").read_text(encoding="utf-8")
+    assert captured.err == (f"error: cannot write {rule}: "
+                            f"[Errno 13] Permission denied: '{rule}'\n")
+
+
 # documents built from the net library, written to files named by these keys
 GENERATED = {
     "{loop_span}": lambda: documents.emit_span(*loop_span()),

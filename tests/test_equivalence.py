@@ -2,18 +2,20 @@
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
-from opennet import build_net, equivalence, pushout
+from opennet import build_net, documents, equivalence, pushout, semantics
 from opennet.cli import _verdict_json
 from opennet.equivalence import (
     BISIMILAR,
     INCONCLUSIVE,
     NOT_BISIMILAR,
     UpToResult,
+    _Columns,
+    _eta_rename,
     _extract_play,
-    _refine_union,
     _state_namer,
     _verdict,
     check_bisim,
@@ -54,6 +56,7 @@ from netlib import (
     random_composable_span,
     random_lts,
     random_net,
+    refine_union,
     rename_net,
     reversed_copy,
     silent_then_act,
@@ -61,6 +64,7 @@ from netlib import (
 )
 
 EMPTY_ETA = Correspondence(eta_in={}, eta_out={})
+DATA = Path(__file__).parent / "data"
 
 
 def test_agencies_strong_firing_bisimilar():
@@ -477,7 +481,7 @@ def test_pair_depths_match_naive_oracle():
     bisimilar = separated = 0
     for lts1, lts2 in _random_lts_pairs():
         n1, n2 = len(lts1.states), len(lts2.states)
-        *_, depth = _refine_union(lts1, lts2)
+        *_, depth = refine_union(lts1, lts2)
         oracle = naive_separation_depths(n1, successors(lts1), n2, successors(lts2))
         for i in range(n1):
             for j in range(n2):
@@ -501,7 +505,7 @@ def test_refine_union_merges_equal_labels_held_at_different_indices():
         lts1 = random_lts(rng, max_states=8, labels=first, max_out=2)
         lts2 = random_lts(rng, max_states=8, labels=second, max_out=2)
         n1, n2 = len(lts1.states), len(lts2.states)
-        table, labels, targets, _, depth = _refine_union(lts1, lts2)
+        table, labels, targets, _, depth = refine_union(lts1, lts2)
         assert table == first
         oracle = naive_separation_depths(n1, successors(lts1), n2, successors(lts2))
         for i in range(n1):
@@ -521,7 +525,7 @@ def test_refine_union_merges_equal_labels_held_at_different_indices():
 def test_plays_from_refinement_are_lost_games():
     plays = 0
     for lts1, lts2 in _random_lts_pairs():
-        table, labels, targets, _, depth = _refine_union(lts1, lts2)
+        table, labels, targets, _, depth = refine_union(lts1, lts2)
         initial_depth = depth(lts1.initial, len(lts1.states) + lts2.initial)
         if initial_depth:
             play = _extract_play(lts1, lts2, table, labels, targets, depth,
@@ -678,7 +682,7 @@ def test_touched_overflow_when_only_one_side_overflows(overflowing_first):
 def _full_verdict(z1, z2, eta, mode, cap, max_step):
     """The strong verdict on the two systems explored in full."""
     lts1, lts2 = (build_lts(z, mode, cap=cap, max_step=max_step) for z in (z1, z2))
-    return _verdict(lts1, lts2, eta, "strong", cap)
+    return _verdict(lts1, lts2, _Columns(lts1, lts2, _eta_rename(eta)), eta, "strong")
 
 
 LOCAL_OPTIONS = [(FIRING, cap, 1) for cap in (1, 2, 3)] + [
@@ -768,6 +772,63 @@ def test_touched_overflow_of_a_local_answer_is_the_full_systems_flag(monkeypatch
         assert builds == []
         assert verdict.result == NOT_BISIMILAR and verdict.touched_overflow is touched
         assert _verdict_json(verdict) == _verdict_json(_full_verdict(*pair, mode, 2, 2))
+
+
+# ------------------------------------------------ the union's edge columns
+
+
+def _data_net(name):
+    return documents.parse_net((DATA / name).read_text(encoding="utf-8"))[1]
+
+
+@pytest.mark.parametrize("first, second, mode, cap, result, builds_made", [
+    ("chain3.json", "chain3_copy.json", FIRING, 3, BISIMILAR, 2),
+    ("chain3.json", "chain3_copy.json", STEP, 3, BISIMILAR, 2),
+    # a play of 8 moves: local attempts first, then the full systems
+    ("chain8.json", "chain8_drain.json", FIRING, 1, NOT_BISIMILAR, 2),
+])
+def test_a_strong_check_renames_each_label_of_the_first_net_once(
+        monkeypatch, first, second, mode, cap, result, builds_made):
+    z1, z2 = _data_net(first), _data_net(second)
+    eta = Correspondence(eta_in=dict(zip(sorted(z1.open_in), sorted(z2.open_in))),
+                         eta_out=dict(zip(sorted(z1.open_out), sorted(z2.open_out))))
+    builds = _counting_builds(monkeypatch)
+    renamed = []
+    rename = semantics.rename_label
+
+    def counting(label, fn):
+        renamed.append(label)
+        return rename(label, fn)
+
+    monkeypatch.setattr(semantics, "rename_label", counting)
+    verdict = check_bisim(z1, z2, eta, mode=mode, cap=cap)
+    assert verdict.result == result and len(builds) == builds_made
+    assert len(renamed) == len(build_lts(z1, mode, cap=cap).labels)
+
+
+def test_columns_grown_level_by_level_are_the_columns_of_the_finished_system():
+    """Grown after every level of a search, and once more after it ends,
+    the columns are those read at once from the finished system: the same
+    table and rows, each edge in them exactly once."""
+    rng = random.Random(23)
+    levels = 0
+    for _ in range(60):
+        z = random_net(rng, max_places=3)
+        for mode, cap, max_step in ((FIRING, 2, 1), (STEP, 1, 2)):
+            search = semantics._Search(z, mode, cap, max_step)
+            grown = _Columns(search, search, lambda label: label)
+            while not search.done:
+                search.level()
+                grown.grow()
+                levels += 1
+            lts = build_lts(z, search=search)
+            grown.grow()
+            once = _Columns(lts, lts, lambda label: label)
+            once.grow()
+            assert list(grown.table) == list(once.table) == lts.labels
+            assert grown.labels == once.labels == (columns(lts)[0],) * 2
+            assert grown.targets == once.targets == (columns(lts)[1],) * 2
+    assert levels >= 300
 
 
 @pytest.mark.parametrize("kind", ["strong", "weak"])
