@@ -14,10 +14,12 @@ everything: its final partition decides the verdict and groups the witness
 pairs, and its rounds give the depth of every cross pair, the number of
 moves in which the challenger wins from it.  The play starts at the initial
 pair and lowers the depth by one per move, so it is as long as the initial
-pair's depth.  Witness and play write states as their markings' text.  A
-check lays the union's edges out once (`_Columns`): grown from its two
-searches in a strong check, read once from the prepared systems in a weak
-check and for each candidate eta of `search_correspondence`.
+pair's depth.  Witness and play write states as their markings' text.  One
+object (`_Union`) owns the union: it numbers each state once, when it first
+reads it, lays the edges out once, and gives the depth, the play and the
+verdict.  It is grown from the two searches in a strong check, and read
+once from the prepared systems in a weak check and for each candidate eta
+of `search_correspondence`.
 
 A strong check first answers NotBisimilar, when it can, from the states
 near the initial markings (on-the-fly checking, after Fernandez & Mounier,
@@ -33,10 +35,10 @@ answer is exact for these reasons:
   so it is the play of the full systems;
 - the truncated rounds are still the nested partitions of a finite graph,
   so `depth`'s binary search over them stays valid.
-Otherwise the same two searches run to their end, the layout grows by the
-edges the attempts did not read, and the full union is refined; no level is
-explored twice.  Weak checks take the full path: a closure edge spans any
-number of silent steps.
+Otherwise the same two searches run to their end, the union grows by the
+states and edges the attempts did not read, and it is refined in full; no
+level is explored twice.  Weak checks take the full path: a closure edge
+spans any number of silent steps.
 """
 
 from __future__ import annotations
@@ -187,67 +189,6 @@ def partition_refinement(labels, targets, rounds: list | None = None, until=None
         blocks = new_blocks
 
 
-def _state_namer(lts1: Lts, lts2: Lts):
-    """The marking text of a union state, each state formatted at most once."""
-    places = [lts1.places] * len(lts1.states) + [lts2.places] * len(lts2.states)
-    states = lts1.states + lts2.states
-    return functools.cache(lambda x: semantics.format_marking(places[x], states[x]))
-
-
-def _extract_play(lts1: Lts, lts2: Lts, table, labels, targets, depth, name):
-    """A shortest alternating challenge/response trace for the initial pair.
-
-    The play walks the union states and label indices `_Columns.refine`
-    returns, and `name` writes a union state.  At a pair of depth d the
-    challenger picks a move all of whose answers land in pairs of depth
-    below d.  Since the pair is (d-1)-step bisimilar, one answer reaches a
-    (d-2)-step bisimilar pair, of depth exactly d-1, and the responder
-    takes its deepest answer; at depth 1 there is no answer at all.  So
-    every move lowers the depth by one, and the play is exactly as long as
-    the depth of the initial pair.
-    """
-    keys = [label_sort_key(label) for label in table]
-    play = []
-    pair = (lts1.initial, len(lts1.states) + lts2.initial)
-    while pair is not None and depth(*pair):
-        x, y = pair
-        move, pair = _best_challenge(name, table, keys, labels, targets, x, y, depth)
-        play.append(move)
-    return play
-
-
-def _best_challenge(name, table, keys, labels, targets, x, y, depth):
-    """The canonical winning challenge at a separated pair of union states.
-
-    A challenge wins iff every response lands in a pair separated strictly
-    earlier; the responder then answers with its most resistant option.
-    Returns the move and the pair it leads to (None when the responder is
-    stuck).
-    """
-    here = depth(x, y)
-    candidates = []
-    for side, a, b in ((1, x, y), (2, y, x)):
-        for label, a2 in zip(labels[a], targets[a]):
-            responses = sorted(b2 for lbl, b2 in zip(labels[b], targets[b]) if lbl == label)
-            rdepths = [depth(a2, b2) for b2 in responses]
-            if all(0 < d < here for d in rdepths):
-                candidates.append((side, label, a2, responses, rdepths))
-    # canonical: side, then label order, then target state index
-    candidates.sort(key=lambda c: (c[0], keys[c[1]], c[2]))
-    side, label, a2, responses, rdepths = candidates[0]
-    response = max(zip(rdepths, responses))[1] if responses else None
-    move = PlayMove(
-        side=side,
-        label=table[label],
-        source_pair=(name(x), name(y)),
-        challenger_target=name(a2),
-        response_target=None if response is None else name(response),
-    )
-    if response is None:
-        return move, None
-    return move, (a2, response) if side == 1 else (response, a2)
-
-
 def _eta_rename(eta: Correspondence):
     """The renaming of a label's interactions through eta."""
     def fn(obs: Obs) -> Obs:
@@ -260,82 +201,161 @@ def _eta_rename(eta: Correspondence):
     return functools.partial(semantics.rename_label, fn=fn)
 
 
-class _Columns:
-    """The edge columns of the disjoint union of two systems, each an `Lts`
-    or a `semantics._Search` in progress: anything that lists `states`,
-    `labels` and `edges`.  Labels merge by value into `table`, those of the
-    first system renamed by `rename`, so the refinement and the play compare
-    label ids only; targets count within their own system until `refine`."""
+class _Union:
+    """The disjoint union of two systems, each an `Lts` or a
+    `semantics._Search` in progress: anything that lists `states`, `labels`
+    and `edges`, and names its `places`, `initial`, `mode` and `cap`.
+
+    The union numbers each state once, when `grow` first reads it:
+    `numbers[s][j]` is state j of system s, and each system keeps its own
+    order.  Per union state, `labels` and `targets` are the edge columns
+    `partition_refinement` reads: label ids, merged by value into `table`
+    (those of the first system renamed by `rename`, each once), and union
+    states.  `refine` keeps its final partition in `blocks` and each
+    round's in `rounds`; the depth, the play and the verdict are read off
+    them.
+    """
 
     def __init__(self, first, second, rename):
         self.systems, self.renames = (first, second), (rename, lambda label: label)
         self.table = {}  # label -> union label id
         self.ids = ([], [])  # per system: its label index -> union label id
-        self.labels, self.targets = ([], []), ([], [])  # per system, per state
+        self.numbers = ([], [])  # per system: its state index -> union state
+        self.labels, self.targets = [], []  # per union state
         self.read = [0, 0]  # per system: its edges already in the columns
+        self.blocks, self.rounds = None, []
 
     def grow(self):
         """Add what the two systems listed since the last call; each label
-        is renamed and each edge read once."""
-        table = self.table
+        is renamed, each state numbered and each edge read once."""
+        table, labels, targets = self.table, self.labels, self.targets
         for side, system in enumerate(self.systems):
-            ids, labels, targets = self.ids[side], self.labels[side], self.targets[side]
+            ids, numbers = self.ids[side], self.numbers[side]
             ids += [table.setdefault(self.renames[side](label), len(table))
                     for label in itertools.islice(system.labels, len(ids), None)]
-            new = len(system.states) - len(labels)
+            new = len(system.states) - len(numbers)
+            numbers += range(len(labels), len(labels) + new)
             labels += [[] for _ in range(new)]
             targets += [[] for _ in range(new)]
             for src, label, dst in itertools.islice(system.edges, self.read[side], None):
-                labels[src].append(ids[label])
-                targets[src].append(dst)
+                x = numbers[src]
+                labels[x].append(ids[label])
+                targets[x].append(numbers[dst])
             self.read[side] = len(system.edges)
 
-    def refine(self, until=None):
-        """Grow the columns, then refine the union, `until` as
-        `partition_refinement` takes it.
+    def refine(self, until=None) -> _Union:
+        """Grow, then refine the union, `until` as `partition_refinement`
+        takes it; `until` may read `rounds`, which holds every round up to
+        the one it is asked about."""
+        self.grow()
+        self.rounds = []
+        self.blocks = partition_refinement(self.labels, self.targets, self.rounds, until)
+        return self
 
-        State j of the second system is state n1 + j of the union, n1 being
-        the first one's number of states.  Returns the union's label table,
-        its edge columns, the final block list, and depth(x, y) for union
-        states x and y: the first round whose partition separates the two,
+    @property
+    def initial(self) -> tuple:
+        """The union states of the two initial markings."""
+        return tuple(numbers[system.initial]
+                     for system, numbers in zip(self.systems, self.numbers))
+
+    def separated(self, blocks) -> bool:
+        """Whether the block list `blocks` parts the initial markings."""
+        x, y = self.initial
+        return blocks[x] != blocks[y]
+
+    def depth(self, x: int, y: int) -> int:
+        """The first round whose partition separates union states x and y,
         so the challenger wins from (x, y) in that many moves and no fewer;
         0 means bisimilar.  Partitions are nested, so the rounds that
-        separate a pair form a suffix and a binary search finds it.
+        separate a pair form a suffix and a binary search finds it."""
+        rounds = self.rounds
+        # the number of rounds, a prefix, that keep x and y in one block
+        shared = bisect.bisect(range(len(rounds)), False,
+                               key=lambda k: rounds[k][x] != rounds[k][y])
+        return 0 if shared == len(rounds) else shared + 1
+
+    def names(self):
+        """The marking text of a union state, each state formatted at most
+        once; a verdict builds it when it writes its witness or play."""
+        places, states = [None] * len(self.labels), [None] * len(self.labels)
+        for system, numbers in zip(self.systems, self.numbers):
+            for x, state in zip(numbers, system.states):
+                places[x], states[x] = system.places, state
+        return functools.cache(lambda x: semantics.format_marking(places[x], states[x]))
+
+    def play(self) -> list:
+        """A shortest alternating challenge/response trace for the initial pair.
+
+        At a pair of depth d the challenger picks a move all of whose answers
+        land in pairs of depth below d; the canonical one comes first by
+        side, then label order, then target.  Since the pair is (d-1)-step
+        bisimilar, one answer reaches a (d-2)-step bisimilar pair, of depth
+        exactly d-1, and the responder takes its deepest answer; at depth 1
+        there is no answer at all.  So every move lowers the depth by one,
+        and the play is exactly as long as the depth of the initial pair.
         """
-        self.grow()
-        (labels1, labels2), (targets1, targets2) = self.labels, self.targets
-        n1 = len(labels1)
-        labels = labels1 + labels2
-        targets = targets1 + [[dst + n1 for dst in row] for row in targets2]
-        rounds = []
-        blocks = partition_refinement(labels, targets, rounds, until)
+        table = list(self.table)
+        keys = [label_sort_key(label) for label in table]
+        labels, targets, depth, name = self.labels, self.targets, self.depth, self.names()
+        play, pair = [], self.initial
+        while pair is not None and (here := depth(*pair)):
+            x, y = pair
+            candidates = []
+            for side, a, b in ((1, x, y), (2, y, x)):
+                for label, a2 in zip(labels[a], targets[a]):
+                    responses = sorted(b2 for lbl, b2 in zip(labels[b], targets[b])
+                                       if lbl == label)
+                    rdepths = [depth(a2, b2) for b2 in responses]
+                    if all(0 < d < here for d in rdepths):
+                        candidates.append((side, label, a2, responses, rdepths))
+            # a2 and the responses are each of one system, whose order they keep
+            side, label, a2, responses, rdepths = min(
+                candidates, key=lambda c: (c[0], keys[c[1]], c[2]))
+            response = max(zip(rdepths, responses))[1] if responses else None
+            play.append(PlayMove(
+                side=side,
+                label=table[label],
+                source_pair=(name(x), name(y)),
+                challenger_target=name(a2),
+                response_target=None if response is None else name(response),
+            ))
+            pair = None if response is None else (a2, response) if side == 1 else (response, a2)
+        return play
 
-        def depth(x: int, y: int) -> int:
-            # the number of rounds, a prefix, that keep x and y in one block
-            shared = bisect.bisect(range(len(rounds)), False,
-                                   key=lambda k: rounds[k][x] != rounds[k][y])
-            return 0 if shared == len(rounds) else shared + 1
-
-        return list(self.table), labels, targets, blocks, depth
-
-
-def _not_bisimilar(lts1: Lts, lts2: Lts, union, eta: Correspondence, kind: str,
-                   touched: bool) -> BisimVerdict:
-    """The NotBisimilar verdict on two systems, with the play read off
-    `union`, their refinement as `_Columns.refine` returns it."""
-    table, labels, targets, _, depth = union
-    play = _extract_play(lts1, lts2, table, labels, targets, depth, _state_namer(lts1, lts2))
-    return BisimVerdict(kind=kind, mode=lts1.mode, result=NOT_BISIMILAR, bound=lts1.cap,
-                        witness=None, play=play, touched_overflow=touched, eta=eta)
+    def verdict(self, eta: Correspondence, kind: str) -> BisimVerdict:
+        """The verdict read off the last refinement: NotBisimilar with the
+        play when it parts the initial markings; otherwise the witness pairs
+        the states of each shared block, and Inconclusive when one of its
+        pairs mixes a real marking with OVERFLOW."""
+        first = self.systems[0]
+        touched = any(OVERFLOW in system.states for system in self.systems)
+        if self.separated(self.blocks):
+            return BisimVerdict(kind=kind, mode=first.mode, result=NOT_BISIMILAR,
+                                bound=first.cap, witness=None, play=self.play(),
+                                touched_overflow=touched, eta=eta)
+        blocks, (numbers1, numbers2) = self.blocks, self.numbers
+        by_block = {}
+        for y in numbers2:
+            by_block.setdefault(blocks[y], []).append(y)
+        pairs = [(x, y) for x in numbers1 for y in by_block.get(blocks[x], ())]
+        overflow = {x for system, numbers in zip(self.systems, self.numbers)
+                    for x, state in zip(numbers, system.states) if state is OVERFLOW}
+        mixed_overflow = any((x in overflow) != (y in overflow) for x, y in pairs)
+        name = self.names()
+        return BisimVerdict(
+            kind=kind, mode=first.mode, result=INCONCLUSIVE if mixed_overflow else BISIMILAR,
+            bound=first.cap, witness=[(name(x), name(y)) for x, y in pairs], play=None,
+            touched_overflow=touched or mixed_overflow, eta=eta,
+        )
 
 
 RADII = (1, 2, 4)
 
 
-def _local_verdict(searches, columns: _Columns, eta: Correspondence) -> BisimVerdict | None:
+def _local_verdict(searches, union: _Union, eta: Correspondence) -> BisimVerdict | None:
     """A strong check's NotBisimilar verdict, found from the balls around
     the initial markings as the module docstring says; None when they do
-    not settle it, or when both searches are done before.  `columns` is the
+    not settle it, or when both searches are done before.  `union` is the
     union of the two searches.
 
     Both searches advance in lockstep, and the refinement stops once the
@@ -351,19 +371,14 @@ def _local_verdict(searches, columns: _Columns, eta: Correspondence) -> BisimVer
         reached = radius
         if all(search.done for search in searches):
             return None  # nothing is left to spare
-        n1, rounds = len(searches[0].states), itertools.count(1)
-        union = columns.refine(  # the k-th call of until sees round k
-            until=lambda blocks: blocks[0] != blocks[n1] or next(rounds) == radius)
-        blocks = union[3]
-        if blocks[0] == blocks[n1]:
+        union.refine(until=lambda blocks: union.separated(blocks) or len(union.rounds) == radius)
+        if not union.separated(union.blocks):
             continue
-        lts1, lts2 = (search.ball() for search in searches)
         while not (any(search.overflowed for search in searches)
                    or all(search.done for search in searches)):
             for search in searches:
                 search.level()
-        return _not_bisimilar(lts1, lts2, union, eta, "strong",
-                              any(search.overflowed for search in searches))
+        return union.verdict(eta, "strong")
     return None
 
 
@@ -400,39 +415,16 @@ def check_bisim(z1: OpenNet, z2: OpenNet, eta: Correspondence,
     _check_correspondence(eta, z1, z2)
     if kind == "weak":
         lts1, lts2 = (_prepared_lts(z, kind, mode, tau_labels, cap, max_step) for z in (z1, z2))
-        return _verdict(lts1, lts2, _Columns(lts1, lts2, _eta_rename(eta)), eta, kind)
+        return _Union(lts1, lts2, _eta_rename(eta)).refine().verdict(eta, kind)
     searches = [semantics._Search(z, mode, cap, max_step) for z in (z1, z2)]
-    columns = _Columns(*searches, _eta_rename(eta))
-    verdict = _local_verdict(searches, columns, eta)
+    union = _Union(*searches, _eta_rename(eta))
+    verdict = _local_verdict(searches, union, eta)
     if verdict is None:
-        # finish the searches already started; no level is explored twice
-        lts1, lts2 = (build_lts(z, search=search) for z, search in zip((z1, z2), searches))
-        verdict = _verdict(lts1, lts2, columns, eta, kind)
+        # finish the searches the union reads; no level is explored twice
+        for z, search in zip((z1, z2), searches):
+            build_lts(z, search=search)
+        verdict = union.refine().verdict(eta, kind)
     return verdict
-
-
-def _verdict(lts1: Lts, lts2: Lts, columns: _Columns, eta: Correspondence,
-             kind: str) -> BisimVerdict:
-    """The verdict on two prepared transition systems whose union
-    `columns` holds, in part or not at all."""
-    union = columns.refine()
-    touched = lts1.has_overflow() or lts2.has_overflow()
-    blocks, n1 = union[3], len(lts1.states)
-    if blocks[lts1.initial] != blocks[n1 + lts2.initial]:
-        return _not_bisimilar(lts1, lts2, union, eta, kind, touched)
-
-    by_block = {}
-    for j in range(n1, len(blocks)):
-        by_block.setdefault(blocks[j], []).append(j)
-    states, name = lts1.states + lts2.states, _state_namer(lts1, lts2)
-    pairs = [(i, j) for i in range(n1) for j in by_block.get(blocks[i], ())]
-    mixed_overflow = any((states[i] is OVERFLOW) != (states[j] is OVERFLOW) for i, j in pairs)
-    result = INCONCLUSIVE if mixed_overflow else BISIMILAR
-    return BisimVerdict(
-        kind=kind, mode=lts1.mode, result=result, bound=lts1.cap,
-        witness=[(name(i), name(j)) for i, j in pairs], play=None,
-        touched_overflow=touched or mixed_overflow, eta=eta,
-    )
 
 
 MAX_AUTO_INTERFACE = 5
@@ -469,7 +461,7 @@ def search_correspondence(z1: OpenNet, z2: OpenNet, kind="strong", mode=FIRING,
     lts1, lts2 = (_prepared_lts(z, kind, mode, tau_labels, cap, max_step) for z in (z1, z2))
     first = fallback = None
     for eta in etas:
-        verdict = _verdict(lts1, lts2, _Columns(lts1, lts2, _eta_rename(eta)), eta, kind)
+        verdict = _Union(lts1, lts2, _eta_rename(eta)).refine().verdict(eta, kind)
         if verdict.result == BISIMILAR:
             return verdict
         if verdict.result == INCONCLUSIVE and fallback is None:

@@ -69,9 +69,6 @@ class ConditionReport:
     def add(self, condition: str, item: str, message: str):
         self.violations.append(Violation(condition, item, message))
 
-    def conditions(self) -> set:
-        return {v.condition for v in self.violations}
-
     def __str__(self):
         if self.ok:
             return "ok"

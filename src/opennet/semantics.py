@@ -251,13 +251,15 @@ def _steps(need, delta, pmask, guard, ones, u: int, max_step: int) -> list:
     return found
 
 
-def _step_bound(mode: str, max_step: int) -> int:
-    """The most events in one step: 1 when firing."""
-    if mode == FIRING:
-        return 1
-    if mode == STEP:
-        return max_step
-    raise UnsupportedMode(f"unknown mode {mode!r}; expected {FIRING!r} or {STEP!r}")
+def _step_bound(mode: str, max_step: int, cap: int) -> int:
+    """The most events in one step: 1 when firing.  An unknown mode is
+    refused first, then a negative bound."""
+    if mode not in (FIRING, STEP):
+        raise UnsupportedMode(f"unknown mode {mode!r}; expected {FIRING!r} or {STEP!r}")
+    if cap < 0 or max_step < 0:
+        raise InvalidBound(
+            f"the cap ({cap}) and the step bound ({max_step}) must be non-negative")
+    return 1 if mode == FIRING else max_step
 
 
 def enabled_steps(z: OpenNet, u: Multiset, mode: str = FIRING,
@@ -266,9 +268,10 @@ def enabled_steps(z: OpenNet, u: Multiset, mode: str = FIRING,
 
     Firing mode lists every single-event step regardless of where it lands;
     step mode lists every non-empty multiset of at most max_step events
-    whose target stays within the per-place cap.
+    whose target stays within the per-place cap.  An unknown mode and a
+    negative bound are refused as `build_lts` refuses them.
     """
-    bound = _step_bound(mode, max_step)
+    bound = _step_bound(mode, max_step, cap)
     places, events, need, delta, pmask, guard, ones, over, marking, decode = _lower(
         z, u, cap, bound)
     return [
@@ -504,19 +507,21 @@ class _Search:
     """The breadth-first search of `build_lts`, run a level at a time.
 
     The search keys its states by packed marking (`_lower`): a target is
-    over the cap when (target + over) sets a top bit.  After k calls of
-    `level`, `states` holds every state within distance k of the initial
-    marking and `edges` the edges of every state within distance k − 1, in
-    the order `build_lts` lists them; `done` tells when nothing is left.
-    `labels` lists the labels found so far as `Lts.labels` does (a dict, to
-    their index), and `step_labels` maps event indices to a label index.
+    over the cap when (target + over) sets a top bit.  It decodes each state
+    once, when it finds it, so a search in progress lists `states`,
+    `labels` and `edges` as an `Lts` does, and its `initial` state is 0.
+    After k calls of `level`, `states` holds every state within distance k
+    of the initial marking and `edges` the edges of every state within
+    distance k − 1, in the order `build_lts` lists them; `done` tells when
+    nothing is left.  `labels` maps each label found so far to its index,
+    `step_labels` maps event indices to a label index, and `packed` holds
+    each state's packed marking for expansion.
     """
 
+    initial = 0
+
     def __init__(self, z: OpenNet, mode: str, cap: int, max_step: int):
-        bound = _step_bound(mode, max_step)
-        if cap < 0 or max_step < 0:
-            raise InvalidBound(
-                f"the cap ({cap}) and the step bound ({max_step}) must be non-negative")
+        bound = _step_bound(mode, max_step, cap)
         if any(n > cap for _, n in z.initial.items()):
             raise InitialExceedsCap(f"marking {z.initial} exceeds the per-place cap {cap}")
         self.mode, self.cap, self.bound = mode, cap, bound
@@ -525,7 +530,8 @@ class _Search:
         self.observed = [observe(z, e) for e in events]
         self.labels = {}  # label -> label index; equal labels share one index
         self.step_labels = {}  # event indices -> label index
-        self.states = [first]
+        self.packed = [first]
+        self.states = [self.decode(first)]
         self.index = {first: 0}
         self.edges = []
         self.expanded = 0  # states[:expanded] have their edges listed
@@ -542,11 +548,12 @@ class _Search:
         """List the edges of every state found but not yet expanded."""
         need, delta, pmask, guard, ones = self.need, self.delta, self.pmask, self.guard, self.ones
         over, bound, firing, observed = self.over, self.bound, self.mode == FIRING, self.observed
-        labels, step_labels, states, index, edges = (
-            self.labels, self.step_labels, self.states, self.index, self.edges)
-        stop = len(states)
+        labels, step_labels, packed, states, index, edges, decode = (
+            self.labels, self.step_labels, self.packed, self.states, self.index, self.edges,
+            self.decode)
+        stop = len(packed)
         for src in range(self.expanded, stop):
-            u = states[src]
+            u = packed[src]
             if u is OVERFLOW:
                 continue
             seen = set()
@@ -560,32 +567,21 @@ class _Search:
                     target = OVERFLOW
                 dst = index.get(target)
                 if dst is None:
-                    dst = index[target] = len(states)
-                    states.append(target)
+                    dst = index[target] = len(packed)
+                    packed.append(target)
+                    states.append(target if target is OVERFLOW else decode(target))
                 edge = (src, label, dst)
                 if edge not in seen:
                     seen.add(edge)
                     edges.append(edge)
         self.expanded = stop
 
-    def ball(self) -> Lts:
-        """The part found so far, as an Lts: its states decoded, the search
-        left as it is."""
-        decode = self.decode
-        return Lts([u if u is OVERFLOW else decode(u) for u in self.states], self.places,
-                   list(self.labels), list(self.edges), initial=0, mode=self.mode, cap=self.cap)
-
     def lts(self) -> Lts:
-        """Run the search to the end.  Its index is dropped and each state
-        is decoded, in place, into the tuple of counts that `Lts` keeps."""
+        """Run the search to the end; its index and packed markings are dropped."""
         while not self.done:
             self.level()
-        del self.index
-        states, decode = self.states, self.decode
-        for i, u in enumerate(states):
-            if u is not OVERFLOW:
-                states[i] = decode(u)
-        return Lts(states, self.places, list(self.labels), self.edges, initial=0,
+        del self.index, self.packed
+        return Lts(self.states, self.places, list(self.labels), self.edges, initial=0,
                    mode=self.mode, cap=self.cap)
 
 
@@ -636,7 +632,9 @@ def weak_closure(lts: Lts, tau_labels) -> Lts:
         kinds.append((all(tau), not any(tau)))
     silent_label = None if lts.mode == FIRING else EMPTY
     labels = lts.labels if silent_label in lts.labels else [*lts.labels, silent_label]
-    # order and index decode a code back into shared ints
+    # order decodes a code back into its label index, and index into its
+    # target: one int object per state, so the edges share their targets'
+    # ints where c % n would make a new one per edge
     order = sorted(range(len(labels)), key=lambda label: label_sort_key(labels[label]))
     base = [0] * len(labels)
     for rank, label in enumerate(order):

@@ -539,12 +539,11 @@ def columns(lts) -> tuple[list, list]:
 
 
 def refine_union(lts1, lts2):
-    """The refinement of the union of two systems, their labels compared as
-    they are: label table, edge columns, blocks and depth, as
-    `equivalence._Columns.refine` returns them."""
-    from opennet.equivalence import _Columns
+    """The refined union of two systems, their labels compared as they are
+    (an `equivalence._Union`)."""
+    from opennet.equivalence import _Union
 
-    return _Columns(lts1, lts2, lambda label: label).refine()
+    return _Union(lts1, lts2, lambda label: label).refine()
 
 
 def chain(n: int) -> OpenNet:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from opennet import documents
+from opennet import build_net, documents
 from opennet.cli import build_parser, main
 from opennet.multiset import Multiset
 
@@ -198,6 +198,57 @@ def test_apply_with_match_index_out_of_range(capsys):
 
 
 # ------------------------------------------------------- one parser per process
+
+def test_apply_warns_of_a_stored_inconclusive_verdict(tmp_path, capsys):
+    rule = tmp_path / "service_rule.json"
+    rule.write_text(_edited(_data("service_rule.json"), lambda d: d.update(
+        behaviour_check={"kind": "strong", "mode": "firing", "cap": 2,
+                         "result": "Inconclusive"})), encoding="utf-8")
+    assert main(["apply", str(rule), str(DATA / "service_host.json")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == _data("apply_service.out")
+    assert captured.err == (
+        "warning: the rule's stored behaviour-preservation verdict is Inconclusive; "
+        "the transformation may not preserve behaviour\n")
+
+
+def test_bisim_without_eta_refuses_a_wide_interface(tmp_path, capsys):
+    places = [f"s{i}" for i in range(6)]
+    net = tmp_path / "wide.json"
+    net.write_text(documents.emit_net("wide", build_net(places, {}, open_in=places)),
+                   encoding="utf-8")
+    assert main(["bisim", str(net), str(net)]) == 3
+    assert capsys.readouterr() == ("", (
+        "error: interface too large for automatic search (>5 places); "
+        "provide a correspondence explicitly\n"))
+
+
+def _net_doc(name, places):
+    fields = {"initial": 0, "open_in": True, "open_out": True}
+    return {"format": "opennet/1", "name": name, "places": {p: fields for p in places},
+            "transitions": {}}
+
+
+@pytest.mark.parametrize("span, text", [
+    (lambda: _edited(_data("two_sided_span.json"), lambda d: d.update(left_map=[])),
+     "left map must be an object with 'places' and 'transitions'"),
+    (lambda: _edited(_data("two_sided_span.json"),
+                     lambda d: d["left_map"]["places"].update(s="w1")),
+     "left map is not a legal morphism:\n"
+     "PrePostMismatch: pre-set of 't0' is not preserved by the map"),
+    (lambda: json.dumps({
+        "format": "opennet-span/1", "interface": _net_doc("interface", ["x", "y"]),
+        "left": _net_doc("left", ["c"]), "right": _net_doc("right", ["x", "y"]),
+        "left_map": {"places": {"x": "c", "y": "c"}, "transitions": {}},
+        "right_map": {"places": {"x": "x", "y": "y"}, "transitions": {}}}),
+     "left map must be injective"),
+], ids=["not-an-object", "not-a-morphism", "not-injective"])
+def test_compose_refuses_a_left_map_that_is_no_embedding(tmp_path, capsys, span, text):
+    path = tmp_path / "span.json"
+    path.write_text(span(), encoding="utf-8")
+    assert main(["compose", str(path)]) == 3
+    assert capsys.readouterr() == ("", f"error: {text}\n")
+
 
 def test_the_parser_is_built_once():
     assert build_parser() is build_parser()

@@ -13,11 +13,8 @@ from opennet.equivalence import (
     INCONCLUSIVE,
     NOT_BISIMILAR,
     UpToResult,
-    _Columns,
     _eta_rename,
-    _extract_play,
-    _state_namer,
-    _verdict,
+    _Union,
     check_bisim,
     check_upto,
     induced_correspondence,
@@ -340,6 +337,39 @@ def test_upto_rejects_under_a_renaming_eta():
     )
 
 
+def _drained(place, label):
+    """An input-open place drained by one transition labelled `label`."""
+    return build_net([place], {"t": (label, {place: 1}, {})}, open_in=[place])
+
+
+def test_upto_answers_a_silent_challenge_with_silent_moves():
+    eta = Correspondence(eta_in={"p": "q"}, eta_out={})
+    pairs = [(EMPTY, EMPTY), (Multiset({"p": 1}), Multiset({"q": 1}))]
+    result = check_upto(_drained("p", "tau"), _drained("q", "tau"), eta, pairs,
+                        tau_labels={"tau"}, cap=3)
+    assert result.accepted
+    # the second net's visible b cannot answer the silent move
+    result = check_upto(_drained("p", "tau"), _drained("q", "b"), eta, pairs,
+                        tau_labels={"tau"}, cap=3)
+    assert not result.accepted
+    assert result.reason == (
+        "pair (p, q): first-net move tau to 0 has no answer landing back in the relation"
+    )
+
+
+def test_upto_skips_a_cut_whose_mirrored_surplus_the_answer_lacks():
+    # p's out-degree is 1, so after the loop one of p's two tokens is
+    # surplus; the only answer, q:2 -a-> 0, holds no q to cut in mirror
+    loop = build_net(["p"], {"t": ("a", {"p": 1}, {"p": 1})}, open_in=["p"])
+    drain = build_net(["q"], {"t": ("a", {"q": 2}, {})}, open_in=["q"])
+    eta = Correspondence(eta_in={"p": "q"}, eta_out={})
+    result = check_upto(loop, drain, eta, [(Multiset({"p": 2}), Multiset({"q": 2}))], cap=3)
+    assert not result.accepted
+    assert result.reason == (
+        "pair (p:2, q:2): first-net move a to p:2 has no answer landing back in the relation"
+    )
+
+
 def test_upto_empty_relation_vacuously_accepted():
     result = check_upto(absorber(), absorber(), ID_ETA, [], cap=4)
     assert result.accepted
@@ -481,12 +511,13 @@ def test_pair_depths_match_naive_oracle():
     bisimilar = separated = 0
     for lts1, lts2 in _random_lts_pairs():
         n1, n2 = len(lts1.states), len(lts2.states)
-        *_, depth = refine_union(lts1, lts2)
+        union = refine_union(lts1, lts2)
+        numbers1, numbers2 = union.numbers
         oracle = naive_separation_depths(n1, successors(lts1), n2, successors(lts2))
         for i in range(n1):
             for j in range(n2):
-                assert depth(i, n1 + j) == oracle.get((i, j), 0), (i, j)
-        if depth(lts1.initial, n1 + lts2.initial):
+                assert union.depth(numbers1[i], numbers2[j]) == oracle.get((i, j), 0), (i, j)
+        if union.depth(*union.initial):
             separated += 1
         else:
             bisimilar += 1
@@ -505,17 +536,16 @@ def test_refine_union_merges_equal_labels_held_at_different_indices():
         lts1 = random_lts(rng, max_states=8, labels=first, max_out=2)
         lts2 = random_lts(rng, max_states=8, labels=second, max_out=2)
         n1, n2 = len(lts1.states), len(lts2.states)
-        table, labels, targets, _, depth = refine_union(lts1, lts2)
-        assert table == first
+        union = refine_union(lts1, lts2)
+        numbers1, numbers2 = union.numbers
+        assert list(union.table) == first
         oracle = naive_separation_depths(n1, successors(lts1), n2, successors(lts2))
         for i in range(n1):
             for j in range(n2):
-                assert depth(i, n1 + j) == oracle.get((i, j), 0), (i, j)
+                assert union.depth(numbers1[i], numbers2[j]) == oracle.get((i, j), 0), (i, j)
         initial_depth = oracle.get((lts1.initial, lts2.initial), 0)
         if initial_depth:
-            play = _extract_play(lts1, lts2, table, labels, targets, depth,
-                                 _state_namer(lts1, lts2))
-            check_play(lts1, lts2, play, initial_depth)
+            check_play(lts1, lts2, union.play(), initial_depth)
             separated += 1
         else:
             bisimilar += 1
@@ -525,12 +555,10 @@ def test_refine_union_merges_equal_labels_held_at_different_indices():
 def test_plays_from_refinement_are_lost_games():
     plays = 0
     for lts1, lts2 in _random_lts_pairs():
-        table, labels, targets, _, depth = refine_union(lts1, lts2)
-        initial_depth = depth(lts1.initial, len(lts1.states) + lts2.initial)
+        union = refine_union(lts1, lts2)
+        initial_depth = union.depth(*union.initial)
         if initial_depth:
-            play = _extract_play(lts1, lts2, table, labels, targets, depth,
-                                 _state_namer(lts1, lts2))
-            check_play(lts1, lts2, play, initial_depth)
+            check_play(lts1, lts2, union.play(), initial_depth)
             plays += 1
     assert plays >= 20
 
@@ -682,7 +710,7 @@ def test_touched_overflow_when_only_one_side_overflows(overflowing_first):
 def _full_verdict(z1, z2, eta, mode, cap, max_step):
     """The strong verdict on the two systems explored in full."""
     lts1, lts2 = (build_lts(z, mode, cap=cap, max_step=max_step) for z in (z1, z2))
-    return _verdict(lts1, lts2, _Columns(lts1, lts2, _eta_rename(eta)), eta, "strong")
+    return _Union(lts1, lts2, _eta_rename(eta)).refine().verdict(eta, "strong")
 
 
 LOCAL_OPTIONS = [(FIRING, cap, 1) for cap in (1, 2, 3)] + [
@@ -806,29 +834,72 @@ def test_a_strong_check_renames_each_label_of_the_first_net_once(
     assert len(renamed) == len(build_lts(z1, mode, cap=cap).labels)
 
 
+def _system_columns(union, side):
+    """The union's rows of one system, in its own order, each target
+    written back as the system's own state index."""
+    numbers = union.numbers[side]
+    own = {x: j for j, x in enumerate(numbers)}
+    return ([union.labels[x] for x in numbers],
+            [[own[y] for y in union.targets[x]] for x in numbers])
+
+
 def test_columns_grown_level_by_level_are_the_columns_of_the_finished_system():
     """Grown after every level of a search, and once more after it ends,
     the columns are those read at once from the finished system: the same
-    table and rows, each edge in them exactly once."""
+    table and rows, each edge in them exactly once, and every union state
+    numbered once."""
     rng = random.Random(23)
     levels = 0
     for _ in range(60):
         z = random_net(rng, max_places=3)
         for mode, cap, max_step in ((FIRING, 2, 1), (STEP, 1, 2)):
             search = semantics._Search(z, mode, cap, max_step)
-            grown = _Columns(search, search, lambda label: label)
+            grown = _Union(search, search, lambda label: label)
             while not search.done:
                 search.level()
                 grown.grow()
                 levels += 1
             lts = build_lts(z, search=search)
             grown.grow()
-            once = _Columns(lts, lts, lambda label: label)
+            once = _Union(lts, lts, lambda label: label)
             once.grow()
             assert list(grown.table) == list(once.table) == lts.labels
-            assert grown.labels == once.labels == (columns(lts)[0],) * 2
-            assert grown.targets == once.targets == (columns(lts)[1],) * 2
+            for union in (grown, once):
+                numbered = sorted(union.numbers[0] + union.numbers[1])
+                assert numbered == list(range(2 * len(lts.states)))
+                for side in (0, 1):
+                    assert _system_columns(union, side) == columns(lts)
     assert levels >= 300
+
+
+@pytest.mark.parametrize("pair, result", [
+    # Bisimilar: three local attempts, then the full union
+    ((chain(3), chain(3), Correspondence(eta_in={"p0": "p0"}, eta_out={"p2": "p2"})),
+     BISIMILAR),
+    # NotBisimilar near the initial markings
+    ((chain(3), chain_x(3), Correspondence(eta_in={"p0": "p0"}, eta_out={"p2": "p2"})),
+     NOT_BISIMILAR),
+])
+def test_the_refinement_reads_the_union_rows_as_they_are(monkeypatch, pair, result):
+    """Every refinement of a strong check gets the union's own row lists:
+    no concatenation of the two systems, no shifted copy of the second."""
+    unions, calls = [], []
+    grow, refine = _Union.grow, equivalence.partition_refinement
+
+    def recording_grow(union):
+        unions.append(union)
+        grow(union)
+
+    def recording_refine(labels, targets, *args):
+        calls.append((labels, targets))
+        return refine(labels, targets, *args)
+
+    monkeypatch.setattr(_Union, "grow", recording_grow)
+    monkeypatch.setattr(equivalence, "partition_refinement", recording_refine)
+    assert check_bisim(*pair, cap=2).result == result
+    union = unions[0]
+    assert all(other is union for other in unions) and calls
+    assert all(labels is union.labels and targets is union.targets for labels, targets in calls)
 
 
 @pytest.mark.parametrize("kind", ["strong", "weak"])

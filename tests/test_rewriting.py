@@ -139,6 +139,24 @@ def test_pushout_complement_rejects_with_the_report():
     assert rejected >= 50
 
 
+def test_pushout_complement_builds_the_context_of_apply_rule():
+    built = proper = 0
+    for _, rule, m in matches_of("span"):
+        if not check_po_complement(rule, m).ok:
+            continue
+        built += 1
+        context, to_context, embed = pushout_complement(rule, m)
+        # gluing the left-hand side back onto the context gives the host's size
+        glued = pushout(to_context, rule.left).z3
+        assert len(glued.places) == len(m.target.places)
+        assert len(glued.transitions) == len(m.target.transitions)
+        if check_proper(rule, m).ok:
+            proper += 1
+            t = apply_rule(rule, m)
+            assert (context, to_context, embed) == (t.context, t.to_context, t.context_embedding)
+    assert built > proper >= 50
+
+
 def test_apply_rule_checks_the_conditions_once(monkeypatch):
     calls = []
     checked = rewriting.check_po_complement

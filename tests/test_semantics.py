@@ -475,6 +475,22 @@ def test_build_lts_rejects_negative_bounds(bounds):
         build_lts(absorber(), STEP, **bounds)
 
 
+@pytest.mark.parametrize("mode", [FIRING, STEP])
+@pytest.mark.parametrize("net, cap, max_step", [
+    (absorber(), -1, 6),
+    (absorber(), 2, -3),
+    (build_net(["p"], {}), -1, 6),  # a net with no event at all
+])
+def test_enabled_steps_refuses_negative_bounds_as_build_lts_does(mode, net, cap, max_step):
+    text = f"the cap ({cap}) and the step bound ({max_step}) must be non-negative"
+    with pytest.raises(InvalidBound) as raised:
+        build_lts(net, mode, cap=cap, max_step=max_step)
+    assert str(raised.value) == text
+    with pytest.raises(InvalidBound) as raised:
+        enabled_steps(net, net.initial, mode, cap=cap, max_step=max_step)
+    assert str(raised.value) == text
+
+
 @pytest.mark.parametrize("mode", ["Firing", "steps", None])
 def test_an_unknown_mode_is_refused_where_the_search_starts(mode):
     text = f"unknown mode {mode!r}; expected 'firing' or 'step'"
@@ -515,13 +531,12 @@ def test_the_search_finds_a_level_at_a_time():
             while not search.done:
                 search.level()
                 k += 1
-                ball = search.ball()
                 within = sum(d <= k for d in dist)
-                assert ball.states == full.states[:within]
-                assert ball.edges == [e for e in full.edges if dist[e[0]] < k]
-                assert ball.edges == full.edges[:len(ball.edges)]
-                assert ball.labels == full.labels[:len(ball.labels)]
-                assert search.overflowed == (OVERFLOW in ball.states)
+                assert search.states == full.states[:within]
+                assert search.edges == [e for e in full.edges if dist[e[0]] < k]
+                assert search.edges == full.edges[:len(search.edges)]
+                assert list(search.labels) == full.labels[:len(search.labels)]
+                assert search.overflowed == (OVERFLOW in search.states)
             levels += k
             lts = build_lts(z, search=search)
             assert (lts.states, lts.labels, lts.edges) == (full.states, full.labels, full.edges)
