@@ -318,7 +318,8 @@ def _morphism_from(doc: dict, source: OpenNet, target: OpenNet, what: str) -> Mo
                  trans_map=_id_map(doc.get("transitions", {}), message))
     report = nets.validate_morphism(f)
     if not report.ok:
-        raise DocumentError(f"{what} is not a legal morphism:\n{report}")
+        issues = "; ".join(sorted(map(str, report.issues)))
+        raise DocumentError(f"{what} is not a legal morphism: {issues}")
     if not nets.is_embedding(f):
         raise DocumentError(f"{what} must be injective")
     return f

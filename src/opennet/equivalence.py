@@ -17,9 +17,9 @@ pair and lowers the depth by one per move, so it is as long as the initial
 pair's depth.  Witness and play write states as their markings' text.  One
 object (`_Union`) owns the union: it numbers each state once, when it first
 reads it, lays the edges out once, and gives the depth, the play and the
-verdict.  It is grown from the two searches in a strong check, and read
-once from the prepared systems in a weak check and for each candidate eta
-of `search_correspondence`.
+verdict.  It is grown from the two searches in a strong check, read once
+from the two systems and saturated in a weak check, and read once from the
+prepared systems for each candidate eta of `search_correspondence`.
 
 A strong check first answers NotBisimilar, when it can, from the states
 near the initial markings (on-the-fly checking, after Fernandez & Mounier,
@@ -37,8 +37,11 @@ answer is exact for these reasons:
   so `depth`'s binary search over them stays valid.
 Otherwise the same two searches run to their end, the union grows by the
 states and edges the attempts did not read, and it is refined in full; no
-level is explored twice.  Weak checks take the full path: a closure edge
-spans any number of silent steps.
+level is explored twice.  Weak checks take the full path, since a weak edge
+spans any number of silent steps: the union reads the two raw systems once
+and saturates its own rows in place (`semantics.saturate`), so no
+weak-closed system is built; weak bisimilarity is strong bisimilarity of
+the saturated systems (Milner, Communication and Concurrency, 1989).
 """
 
 from __future__ import annotations
@@ -171,15 +174,12 @@ def partition_refinement(labels, targets, rounds: list | None = None, until=None
     """
     width = 1 + max((max(lbls) for lbls in labels if lbls), default=0)
     blocks = [0] * len(labels)
+    signatures = map(frozenset, labels)  # round 1: every target is in block 0
     while True:
-        # a (label id, block) pair is packed into the one int id + block *
-        # width, so a signature is a set of ints; blocks are numbered in
-        # order of first sight, so a partition that did not change keeps its ids
-        scaled = [b * width for b in blocks]
-        numbering, new_blocks = {}, []
-        for own, lbls, dsts in zip(blocks, labels, targets):
-            sig = (own, frozenset(map(add, lbls, map(scaled.__getitem__, dsts))))
-            new_blocks.append(numbering.setdefault(sig, len(numbering)))
+        # blocks are numbered in order of first sight, so a partition that
+        # did not change keeps its ids
+        numbering = {}
+        new_blocks = [numbering.setdefault(sig, len(numbering)) for sig in signatures]
         if new_blocks == blocks:
             return blocks
         if rounds is not None:
@@ -187,6 +187,11 @@ def partition_refinement(labels, targets, rounds: list | None = None, until=None
         if until is not None and until(new_blocks):
             return new_blocks
         blocks = new_blocks
+        # a (label id, block) pair is packed into the one int id + block *
+        # width, so a signature is the own block and a set of ints
+        scaled = [b * width for b in blocks]
+        signatures = ((own, frozenset(map(add, lbls, map(scaled.__getitem__, dsts))))
+                      for own, lbls, dsts in zip(blocks, labels, targets))
 
 
 def _eta_rename(eta: Correspondence):
@@ -211,9 +216,9 @@ class _Union:
     order.  Per union state, `labels` and `targets` are the edge columns
     `partition_refinement` reads: label ids, merged by value into `table`
     (those of the first system renamed by `rename`, each once), and union
-    states.  `refine` keeps its final partition in `blocks` and each
-    round's in `rounds`; the depth, the play and the verdict are read off
-    them.
+    states; a weak check has `saturate` turn them into weak rows.  `refine`
+    keeps its final partition in `blocks` and each round's in `rounds`; the
+    depth, the play and the verdict are read off them.
     """
 
     def __init__(self, first, second, rename):
@@ -242,6 +247,26 @@ class _Union:
                 labels[x].append(ids[label])
                 targets[x].append(numbers[dst])
             self.read[side] = len(system.edges)
+
+    def saturate(self, tau_labels) -> _Union:
+        """Grow, then replace each row by its weak row (`semantics.saturate`),
+        the silent label joined to the table: the union of the two weak
+        closures, with no weak edge written twice.  The systems must be
+        read in full."""
+        self.grow()
+        table, labels, targets = self.table, self.labels, self.targets
+        mode = self.systems[0].mode
+        table.setdefault(semantics.silent_label(mode), len(table))
+        skip = {numbers[j] for system, numbers in zip(self.systems, self.numbers)
+                for j, state in enumerate(system.states) if state is OVERFLOW}
+        rows = semantics.saturate(labels, targets, list(table), mode, tau_labels, skip)
+        # saturate reads every strong row before it yields the first weak one
+        for x, row in enumerate(rows):
+            labels[x], targets[x] = lbls, dsts = [], []
+            for label, row_targets in row.items():
+                lbls += [label] * len(row_targets)
+                dsts += row_targets
+        return self
 
     def refine(self, until=None) -> _Union:
         """Grow, then refine the union, `until` as `partition_refinement`
@@ -341,10 +366,10 @@ class _Union:
         overflow = {x for system, numbers in zip(self.systems, self.numbers)
                     for x, state in zip(numbers, system.states) if state is OVERFLOW}
         mixed_overflow = any((x in overflow) != (y in overflow) for x, y in pairs)
-        name = self.names()
+        names = list(map(self.names(), range(len(self.labels))))  # each state once
         return BisimVerdict(
             kind=kind, mode=first.mode, result=INCONCLUSIVE if mixed_overflow else BISIMILAR,
-            bound=first.cap, witness=[(name(x), name(y)) for x, y in pairs], play=None,
+            bound=first.cap, witness=[(names[x], names[y]) for x, y in pairs], play=None,
             touched_overflow=touched or mixed_overflow, eta=eta,
         )
 
@@ -361,7 +386,8 @@ def _local_verdict(searches, union: _Union, eta: Correspondence) -> BisimVerdict
     Both searches advance in lockstep, and the refinement stops once the
     initial pair separates or the partition stops changing.  After an
     answer, the searches go on only until one of them overflows, or both are
-    done, which decides `touched_overflow` as the full systems would.
+    done, which decides `touched_overflow` as the full systems would; the
+    union does not read the states they find, so none is decoded.
     """
     reached = 0
     for radius in RADII:
@@ -374,11 +400,13 @@ def _local_verdict(searches, union: _Union, eta: Correspondence) -> BisimVerdict
         union.refine(until=lambda blocks: union.separated(blocks) or len(union.rounds) == radius)
         if not union.separated(union.blocks):
             continue
+        verdict = union.verdict(eta, "strong")
         while not (any(search.overflowed for search in searches)
                    or all(search.done for search in searches)):
             for search in searches:
                 search.level()
-        return union.verdict(eta, "strong")
+        verdict.touched_overflow = any(search.overflowed for search in searches)
+        return verdict
     return None
 
 
@@ -414,8 +442,9 @@ def check_bisim(z1: OpenNet, z2: OpenNet, eta: Correspondence,
     _check_kind(kind)
     _check_correspondence(eta, z1, z2)
     if kind == "weak":
-        lts1, lts2 = (_prepared_lts(z, kind, mode, tau_labels, cap, max_step) for z in (z1, z2))
-        return _Union(lts1, lts2, _eta_rename(eta)).refine().verdict(eta, kind)
+        lts1, lts2 = (build_lts(z, mode=mode, cap=cap, max_step=max_step) for z in (z1, z2))
+        union = _Union(lts1, lts2, _eta_rename(eta)).saturate(tau_labels)
+        return union.refine().verdict(eta, kind)
     searches = [semantics._Search(z, mode, cap, max_step) for z in (z1, z2)]
     union = _Union(*searches, _eta_rename(eta))
     verdict = _local_verdict(searches, union, eta)

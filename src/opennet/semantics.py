@@ -12,14 +12,22 @@ of open nets.
 Markings are `Multiset`s at the API.  Step enumeration and the LTS build
 lower the net once per call: a marking, and each event's pre-set and change,
 become one int with a field of counts per place in sorted order (`_lower`).
-An `Lts` keeps its states decoded, as tuples of counts over its `places`.  Labels are kept once each in the label
-table and edges carry their index, so the weak closure, the renaming through
-a correspondence and the bisimilarity check compare integers; only output
-looks the states and the labels up.
+The build expands each marking in one loop over its enabled events, each
+giving its one-event step; only step mode with a bound above 1 goes on to
+the larger steps.  An `Lts` keeps its states decoded, as tuples of counts
+over its `places`.  Labels are kept once each in the label table and edges
+carry their index, so the weak saturation, the renaming through a
+correspondence and the bisimilarity check compare integers; only output
+looks the states and the labels up.  The saturation (`saturate`) works on
+per-state rows of label ids and targets, the layout the bisimilarity check
+refines: `weak_closure` sorts its rows into an `Lts`, and a weak check
+saturates the rows of its union in place.
 """
 
 from __future__ import annotations
 
+import collections
+import itertools
 import sys
 from dataclasses import dataclass, replace
 
@@ -216,38 +224,46 @@ def _lower(z: OpenNet, u: Multiset, cap: int, max_step: int):
             pack(u.items()), decode)
 
 
-def _steps(need, delta, pmask, guard, ones, u: int, max_step: int) -> list:
-    """Every non-empty multiset of at most max_step events enabled at the
-    packed marking u.
+def _enabled(need, pmask, guard, ones, u: int) -> list:
+    """The indices of the events enabled at the packed marking u, ascending.
 
-    Returns (event indices ascending, packed target) pairs in (size,
-    elements) order, wherever the target lands.  Every pre-set is drawn from
-    u itself, so a post-set never enables another event of the same step.
     No count reaches a field's top bit (see `_lower`), so free − need and
     target + delta never borrow from or carry into a neighbouring field, and
-    with every top bit set in the marking `free` left over, an event is
-    enabled when free − need keeps them all.  An event with a pre-set place
-    empty at u is skipped at once, and only a bound above 1 sorts: steps of
-    one event come out in order.
+    with every top bit set in the marking `free`, an event is enabled when
+    free − need keeps them all.  An event with a pre-set place empty at u is
+    skipped at once.
+    """
+    empty = guard & ~(u + ones)  # the top bits of the places empty at u
+    free = u | guard
+    return [e for e in range(len(need))
+            if not pmask[e] & empty and (free - need[e]) & guard == guard]
+
+
+def _larger_steps(need, delta, guard, enabled, u: int, max_step: int) -> list:
+    """Every multiset of 2 to max_step events enabled together at the packed
+    marking u, drawn from `enabled` (`_enabled`'s list).
+
+    Returns (event indices ascending, packed target) pairs in (size,
+    elements) order, wherever the target lands: each step of one size is
+    extended, in order, by the events from its last one on, so the next
+    size comes out in order too.  Every pre-set is drawn from u itself, so
+    a post-set never enables another event of the same step, and an event
+    not enabled alone is in no step.
     """
     found = []
-    empty = guard & ~(u + ones)  # the top bits of the places empty at u
-    events = len(need)
-
-    def extend(first, chosen, free, target):
-        # pre-order over ascending index sequences is lexicographic order
-        for e in range(first, events):
-            if not pmask[e] & empty and (rest := free - need[e]) & guard == guard:
-                step = chosen + (e,)
-                after = target + delta[e]
-                found.append((step, after))
-                if len(step) < max_step:
-                    extend(e, step, rest, after)
-
-    if max_step > 0:
-        extend(0, (), u | guard, u)
-    if max_step > 1:
-        found.sort(key=lambda step: len(step[0]))
+    # (events, position of the last one in `enabled`, marking left, target)
+    layer = [((e,), k, (u | guard) - need[e], u + delta[e]) for k, e in enumerate(enabled)]
+    for _ in range(max_step - 1):
+        larger = []
+        for chosen, last, free, target in layer:
+            for k in range(last, len(enabled)):
+                e = enabled[k]
+                if (rest := free - need[e]) & guard == guard:
+                    larger.append((chosen + (e,), k, rest, target + delta[e]))
+        if not larger:
+            break
+        found += [(chosen, target) for chosen, _, _, target in larger]
+        layer = larger
     return found
 
 
@@ -274,10 +290,14 @@ def enabled_steps(z: OpenNet, u: Multiset, mode: str = FIRING,
     bound = _step_bound(mode, max_step, cap)
     places, events, need, delta, pmask, guard, ones, over, marking, decode = _lower(
         z, u, cap, bound)
+    enabled = _enabled(need, pmask, guard, ones, marking) if bound else []
+    steps = [((e,), marking + delta[e]) for e in enabled]
+    if bound > 1:
+        steps += _larger_steps(need, delta, guard, enabled, marking, bound)
     return [
         Step(events=Multiset(events[e] for e in chosen), source=u,
              target=Multiset(dict(zip(places, decode(target)))))
-        for chosen, target in _steps(need, delta, pmask, guard, ones, marking, bound)
+        for chosen, target in steps
         if mode == FIRING or not (target + over) & guard
     ]
 
@@ -507,15 +527,17 @@ class _Search:
     """The breadth-first search of `build_lts`, run a level at a time.
 
     The search keys its states by packed marking (`_lower`): a target is
-    over the cap when (target + over) sets a top bit.  It decodes each state
-    once, when it finds it, so a search in progress lists `states`,
-    `labels` and `edges` as an `Lts` does, and its `initial` state is 0.
-    After k calls of `level`, `states` holds every state within distance k
-    of the initial marking and `edges` the edges of every state within
+    over the cap when (target + over) sets a top bit.  `packed` lists them
+    in the order found; `states` decodes each one the first time it is
+    read, so a search in progress lists `states`, `labels` and `edges` as an
+    `Lts` does, and its `initial` state is 0, while a search that runs on
+    unread (to learn whether it overflows) decodes nothing.  After k calls
+    of `level`, the first k levels hold every state within distance k of
+    the initial marking, and `edges` the edges of every state within
     distance k − 1, in the order `build_lts` lists them; `done` tells when
-    nothing is left.  `labels` maps each label found so far to its index,
-    `step_labels` maps event indices to a label index, and `packed` holds
-    each state's packed marking for expansion.
+    nothing is left.  `labels` maps each label found so far to its index;
+    `event_labels` gives each event's one-event step its label index, and
+    `step_labels` each larger step's, both filled when first fired.
     """
 
     initial = 0
@@ -528,59 +550,99 @@ class _Search:
         (self.places, events, self.need, self.delta, self.pmask, self.guard, self.ones,
          self.over, first, self.decode) = _lower(z, z.initial, cap, bound)
         self.observed = [observe(z, e) for e in events]
+        # two events share a label exactly when they observe the same
+        counts = collections.Counter(self.observed)
+        self.shared = [counts[obs] > 1 for obs in self.observed]
         self.labels = {}  # label -> label index; equal labels share one index
-        self.step_labels = {}  # event indices -> label index
+        self.event_labels = [None] * len(events)  # event index -> label index
+        self.step_labels = {}  # event indices of a larger step -> label index
         self.packed = [first]
-        self.states = [self.decode(first)]
+        self.decoded = []  # states[:len(decoded)], decoded
         self.index = {first: 0}
         self.edges = []
-        self.expanded = 0  # states[:expanded] have their edges listed
+        self.expanded = 0  # packed[:expanded] have their edges listed
+
+    @property
+    def states(self) -> list:
+        """Every state found so far, each decoded when first read."""
+        decoded, decode = self.decoded, self.decode
+        decoded += [m if m is OVERFLOW else decode(m)
+                    for m in itertools.islice(self.packed, len(decoded), None)]
+        return decoded
 
     @property
     def done(self) -> bool:
-        return self.expanded == len(self.states)
+        return self.expanded == len(self.packed)
 
     @property
     def overflowed(self) -> bool:
         return OVERFLOW in self.index
 
+    def _label(self, chosen) -> int:
+        """The label index of the step of the events `chosen`."""
+        observed = self.observed
+        obs = (observed[chosen[0]] if self.mode == FIRING
+               else Multiset(observed[e] for e in chosen))
+        return self.labels.setdefault(obs, len(self.labels))
+
     def level(self):
-        """List the edges of every state found but not yet expanded."""
-        need, delta, pmask, guard, ones = self.need, self.delta, self.pmask, self.guard, self.ones
-        over, bound, firing, observed = self.over, self.bound, self.mode == FIRING, self.observed
-        labels, step_labels, packed, states, index, edges, decode = (
-            self.labels, self.step_labels, self.packed, self.states, self.index, self.edges,
-            self.decode)
+        """List the edges of every state found but not yet expanded.
+
+        Each enabled event gives its one-event step; an edge is listed once
+        per (label, target), so only events that share a label are checked
+        against the edges already listed.  Larger steps, listed after them,
+        are always checked.
+        """
+        need, delta, pmask, guard, ones, over, bound = (
+            self.need, self.delta, self.pmask, self.guard, self.ones, self.over, self.bound)
+        event_labels, shared, step_labels, packed, index, edges = (
+            self.event_labels, self.shared, self.step_labels, self.packed, self.index,
+            self.edges)
         stop = len(packed)
         for src in range(self.expanded, stop):
             u = packed[src]
-            if u is OVERFLOW:
+            if u is OVERFLOW or not bound:
                 continue
+            enabled = _enabled(need, pmask, guard, ones, u)
             seen = set()
-            for chosen, target in _steps(need, delta, pmask, guard, ones, u, bound):
-                label = step_labels.get(chosen)
+            for e in enabled:
+                label = event_labels[e]
                 if label is None:
-                    obs = (observed[chosen[0]] if firing
-                           else Multiset(observed[e] for e in chosen))
-                    label = step_labels[chosen] = labels.setdefault(obs, len(labels))
+                    label = event_labels[e] = self._label((e,))
+                target = u + delta[e]
                 if (target + over) & guard:
                     target = OVERFLOW
                 dst = index.get(target)
                 if dst is None:
                     dst = index[target] = len(packed)
                     packed.append(target)
-                    states.append(target if target is OVERFLOW else decode(target))
-                edge = (src, label, dst)
-                if edge not in seen:
-                    seen.add(edge)
-                    edges.append(edge)
+                if shared[e]:
+                    if (label, dst) in seen:
+                        continue
+                    seen.add((label, dst))
+                edges.append((src, label, dst))
+            if bound == 1:
+                continue
+            for chosen, target in _larger_steps(need, delta, guard, enabled, u, bound):
+                label = step_labels.get(chosen)
+                if label is None:
+                    label = step_labels[chosen] = self._label(chosen)
+                if (target + over) & guard:
+                    target = OVERFLOW
+                dst = index.get(target)
+                if dst is None:
+                    dst = index[target] = len(packed)
+                    packed.append(target)
+                if (label, dst) not in seen:
+                    seen.add((label, dst))
+                    edges.append((src, label, dst))
         self.expanded = stop
 
     def lts(self) -> Lts:
-        """Run the search to the end; its index and packed markings are dropped."""
+        """Run the search to the end; its index is dropped."""
         while not self.done:
             self.level()
-        del self.index, self.packed
+        del self.index
         return Lts(self.states, self.places, list(self.labels), self.edges, initial=0,
                    mode=self.mode, cap=self.cap)
 
@@ -604,69 +666,98 @@ def build_lts(z: OpenNet, mode: str = FIRING, cap: int = DEFAULT_CAP,
     return (search or _Search(z, mode, cap, max_step)).lts()
 
 
-def weak_closure(lts: Lts, tau_labels) -> Lts:
-    """Saturate an Lts with weak transitions.
+def silent_label(mode: str):
+    """The label of a weak closure's silent moves: None in firing mode, the
+    empty step in step mode.  It observes nothing, so it is silent."""
+    return None if mode == FIRING else EMPTY
+
+
+def saturate(labels, targets, table, mode: str, tau_labels, skip):
+    """The weak moves of a system whose state x has the edges
+    zip(labels[x], targets[x]), label ids indexing `table`.
 
     A label is silent when every observation in it is a silent transition
     label, and visible when none is; interactions at open places are never
-    silent, and a step mixing silent and visible observations is neither.
-    For each state i other than the overflow state, the result has an edge
-    (i, silent, j) for every j reachable by silent edges (i itself included),
-    where silent is None in firing mode and the empty step in step mode, and
-    an edge (i, a, k) for every silent*;a;silent* path from i to k.  The
-    silent label joins the label table unless it is there already; it
-    observes nothing, so it is silent when a closure is closed again, and
-    that gives the closure back unchanged.  A state's edges are ordered by
-    label (`label_sort_key`), then target: each is coded as the one int
-    rank * n + target, rank being its label's place in that order.
+    silent, and a step mixing silent and visible observations is neither,
+    so it is dropped.  `table` must hold `silent_label(mode)`.  For each
+    state, its visible moves followed by its silent reach are taken once;
+    the weak row of state i then maps the silent label to every j reachable
+    by silent edges (i itself included), and each visible label a to every
+    k at the end of a silent*;a;silent* path from i.  Yields a row per
+    state, in order, as a dict from label id to a set of targets, once every
+    strong row is read; the states in `skip` (the overflow state) get an
+    empty row.  The targets are the int objects of `targets` and of
+    `range(len(labels))`, so the rows share them.
     """
     tau_labels = frozenset(tau_labels)
-    n = len(lts.states)
-    silent_succ = [[] for _ in range(n)]
-    visible_succ = [[] for _ in range(n)]
-    kinds = []  # per label index: (silent, visible)
-    for label in lts.labels:
-        # the silent label (None, or EMPTY in step mode) observes nothing
-        observed = () if label is None else (label,) if lts.mode == FIRING else label.support()
+    kinds = []  # per label id: True silent, False visible, None neither
+    for label in table:
+        observed = () if label is None else (label,) if mode == FIRING else label.support()
         tau = [o.kind == "lab" and o.name in tau_labels for o in observed]
-        kinds.append((all(tau), not any(tau)))
-    silent_label = None if lts.mode == FIRING else EMPTY
-    labels = lts.labels if silent_label in lts.labels else [*lts.labels, silent_label]
-    # order decodes a code back into its label index, and index into its
-    # target: one int object per state, so the edges share their targets'
-    # ints where c % n would make a new one per edge
-    order = sorted(range(len(labels)), key=lambda label: label_sort_key(labels[label]))
-    base = [0] * len(labels)
-    for rank, label in enumerate(order):
-        base[label] = rank * n
-    index = list(range(n))
-    for src, label, dst in lts.edges:
-        silent, visible = kinds[label]
-        if silent:
-            silent_succ[src].append(dst)
-        elif visible:
-            visible_succ[src].append((base[label], dst))
-
-    closure = []
-    for i in range(n):
-        reach, queue = {i}, [i]
-        while queue:
-            for y in silent_succ[queue.pop()]:
-                if y not in reach:
-                    reach.add(y)
-                    queue.append(y)
-        closure.append(reach)
-
-    silent = base[labels.index(silent_label)]
-    edges = []
-    for i in range(n):
-        if lts.states[i] is OVERFLOW:
+        kinds.append(True if all(tau) else None if any(tau) else False)
+    silent = table.index(silent_label(mode))
+    states = range(len(labels))
+    succ = [[d for a, d in zip(lbls, dsts) if kinds[a]] for lbls, dsts in zip(labels, targets)]
+    reach = []
+    for i in states:
+        found = {i}
+        if succ[i]:
+            queue = [i]
+            for x in queue:
+                for y in succ[x]:
+                    if y not in found:
+                        found.add(y)
+                        queue.append(y)
+        reach.append(found)
+    after = []  # per state: its visible moves followed by silent reach
+    for lbls, dsts in zip(labels, targets):
+        moves = {}
+        for a, d in zip(lbls, dsts):
+            if kinds[a] is False:
+                got = moves.get(a)
+                moves[a] = reach[d] if got is None else got | reach[d]
+        after.append(moves)
+    for i in states:
+        if i in skip:
+            yield {}
             continue
-        out = set(map(silent.__add__, closure[i]))
-        for j in closure[i]:
-            for code, d in visible_succ[j]:
-                out.update(map(code.__add__, closure[d]))
-        edges += [(i, order[c // n], index[c % n]) for c in sorted(out)]
+        if len(reach[i]) == 1:
+            row = dict(after[i])  # its sets are shared, never updated
+        else:
+            row = {}
+            for j in reach[i]:
+                for a, ks in after[j].items():
+                    got = row.get(a)
+                    if got is None:
+                        row[a] = set(ks)
+                    else:
+                        got |= ks
+        row[silent] = reach[i]
+        yield row
+
+
+def weak_closure(lts: Lts, tau_labels) -> Lts:
+    """Saturate an Lts with weak transitions (`saturate`).
+
+    The silent label joins the label table unless it is there already; it
+    observes nothing, so it is silent when a closure is closed again, and
+    that gives the closure back unchanged.  A state's edges are ordered by
+    label (`label_sort_key`), then target.
+    """
+    silent = silent_label(lts.mode)
+    labels = lts.labels if silent in lts.labels else [*lts.labels, silent]
+    rows_labels, rows_targets = [[] for _ in lts.states], [[] for _ in lts.states]
+    for src, label, dst in lts.edges:
+        rows_labels[src].append(label)
+        rows_targets[src].append(dst)
+    skip = {i for i, state in enumerate(lts.states) if state is OVERFLOW}
+    rank = sorted(range(len(labels)), key=lambda label: label_sort_key(labels[label]))
+    rank = {label: r for r, label in enumerate(rank)}
+    edges = []
+    for i, row in enumerate(saturate(rows_labels, rows_targets, labels, lts.mode, tau_labels,
+                                     skip)):
+        for a in sorted(row, key=rank.__getitem__):
+            edges += [(i, a, k) for k in sorted(row[a])]
     return replace(lts, labels=labels, edges=edges)
 
 

@@ -37,6 +37,16 @@ CASES = [
     ("bisim_chain8_vs_drain.out", 1, ["chain8.json", "chain8_drain.json", "--cap", "1"]),
     # two candidate correspondences: the second, x to q and y to p, is the witness
     ("bisim_crosswise_auto.out", 0, ["crosswise_a.json", "crosswise_b.json", "--cap", "2"]),
+    # weak step checks: the union saturates step rows
+    ("bisim_chain3_vs_copy_weak_step.out", 0,
+     ["chain3.json", "chain3_copy.json", "--kind", "weak", "--mode", "step", "--max-step", "2",
+      "--tau", "a1", "--cap", "1"]),
+    ("bisim_chain3_vs_x_weak_step.out", 1,
+     ["chain3.json", "chain3_x.json", "--eta", "chain3.eta.json", "--kind", "weak", "--mode",
+      "step", "--max-step", "2", "--tau", "a1", "--cap", "2"]),
+    # a weak check under each of two candidates: the second is the witness
+    ("bisim_crosswise_auto_weak.out", 0,
+     ["crosswise_a.json", "crosswise_b.json", "--kind", "weak", "--cap", "2"]),
 ]
 
 
@@ -234,7 +244,14 @@ def _net_doc(name, places):
      "left map must be an object with 'places' and 'transitions'"),
     (lambda: _edited(_data("two_sided_span.json"),
                      lambda d: d["left_map"]["places"].update(s="w1")),
-     "left map is not a legal morphism:\n"
+     "left map is not a legal morphism: "
+     "PrePostMismatch: pre-set of 't0' is not preserved by the map"),
+    # every issue of the report, on the one line
+    (lambda: _edited(_data("two_sided_span.json"),
+                     lambda d: d["left_map"]["places"].update(s="w1", sp="w1")),
+     "left map is not a legal morphism: "
+     "MarkingReflectionViolated: initial marking of the source is not the projection "
+     "of the target's; PrePostMismatch: post-set of 't0' is not preserved by the map; "
      "PrePostMismatch: pre-set of 't0' is not preserved by the map"),
     (lambda: json.dumps({
         "format": "opennet-span/1", "interface": _net_doc("interface", ["x", "y"]),
@@ -242,7 +259,7 @@ def _net_doc(name, places):
         "left_map": {"places": {"x": "c", "y": "c"}, "transitions": {}},
         "right_map": {"places": {"x": "x", "y": "y"}, "transitions": {}}}),
      "left map must be injective"),
-], ids=["not-an-object", "not-a-morphism", "not-injective"])
+], ids=["not-an-object", "not-a-morphism", "not-a-morphism-three-ways", "not-injective"])
 def test_compose_refuses_a_left_map_that_is_no_embedding(tmp_path, capsys, span, text):
     path = tmp_path / "span.json"
     path.write_text(span(), encoding="utf-8")

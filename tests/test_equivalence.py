@@ -34,7 +34,7 @@ from opennet.errors import (
 )
 from opennet.multiset import EMPTY, Multiset
 from opennet.nets import Correspondence, Morphism, close_place
-from opennet.semantics import FIRING, STEP, Obs, build_lts, weak_closure
+from opennet.semantics import FIRING, OVERFLOW, STEP, Obs, build_lts, weak_closure
 
 from netlib import (
     absorber,
@@ -49,6 +49,7 @@ from netlib import (
     compared_ltss,
     mutate_preserving,
     naive_bisimulation,
+    naive_weak_closure,
     naive_separation_depths,
     random_composable_span,
     random_lts,
@@ -900,6 +901,73 @@ def test_the_refinement_reads_the_union_rows_as_they_are(monkeypatch, pair, resu
     union = unions[0]
     assert all(other is union for other in unions) and calls
     assert all(labels is union.labels and targets is union.targets for labels, targets in calls)
+
+
+def test_the_union_saturates_each_row_as_the_naive_weak_closure():
+    """A weak check saturates the union's rows of the two raw systems in
+    place: state by state, each row holds exactly the weak edges of its
+    system (`naive_weak_closure`), each once, with its targets in the same
+    system, and the overflow state's row is empty."""
+    rng = random.Random(2709)
+    rows = overflow_rows = 0
+    for _ in range(40):
+        z1, z2 = random_net(rng, max_trans=4), random_net(rng, max_trans=4, prefix="o")
+        for mode, max_step in ((FIRING, 1), (STEP, 2)):
+            systems = [build_lts(z, mode, cap=2, max_step=max_step) for z in (z1, z2)]
+            union = _Union(*systems, lambda label: label).saturate({"tau"})
+            table = list(union.table)
+            for side, lts in enumerate(systems):
+                weak = naive_weak_closure(lts, {"tau"})
+                own = {x: j for j, x in enumerate(union.numbers[side])}
+                for j, x in enumerate(union.numbers[side]):
+                    row = [(table[a], own[y]) for a, y in zip(union.labels[x], union.targets[x])]
+                    assert len(set(row)) == len(row)
+                    assert set(row) == {(label, k) for i, label, k in weak if i == j}
+                    overflow_rows += lts.states[j] is OVERFLOW
+                    assert not row or lts.states[j] is not OVERFLOW
+                    rows += 1
+    assert rows >= 1000 and overflow_rows >= 40
+
+
+def test_a_weak_check_answers_as_the_union_of_the_two_weak_closures():
+    """The union saturated in place gives the verdict, witness and play that
+    the union of the two weak-closed systems gives."""
+    results = set()
+    for z1, z2, eta in _strong_pairs(60):
+        for mode, cap, max_step in ((FIRING, 1, 1), (FIRING, 2, 1), (STEP, 1, 2)):
+            verdict = check_bisim(z1, z2, eta, kind="weak", mode=mode, tau_labels={"tau"},
+                                  cap=cap, max_step=max_step)
+            closed = (weak_closure(build_lts(z, mode, cap=cap, max_step=max_step), {"tau"})
+                      for z in (z1, z2))
+            expected = _Union(*closed, _eta_rename(eta)).refine().verdict(eta, "weak")
+            assert _verdict_json(verdict) == _verdict_json(expected)
+            results.add(verdict.result)
+    assert results == {BISIMILAR, NOT_BISIMILAR}
+
+
+def test_a_local_answer_decodes_only_the_states_the_union_numbers(monkeypatch):
+    """After the answer, the searches run on to learn whether one overflows,
+    and the states they find there are never decoded."""
+    decoded = []
+    lower = semantics._lower
+
+    def counting_lower(*args):
+        *lowered, decode = lower(*args)
+
+        def counting(m):
+            decoded.append(m)
+            return decode(m)
+
+        return (*lowered, counting)
+
+    monkeypatch.setattr(semantics, "_lower", counting_lower)
+    # answered at radius 1; the first overflow is three moves away
+    searches = [semantics._Search(z, FIRING, 2, 1) for z in (_growing("a"), _growing("b"))]
+    union = _Union(*searches, _eta_rename(EMPTY_ETA))
+    verdict = equivalence._local_verdict(searches, union, EMPTY_ETA)
+    assert verdict.result == NOT_BISIMILAR and verdict.touched_overflow
+    found = sum(len(search.packed) for search in searches)
+    assert len(decoded) == len(union.labels) == 4 and found == 8
 
 
 @pytest.mark.parametrize("kind", ["strong", "weak"])

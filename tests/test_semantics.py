@@ -712,6 +712,40 @@ def test_build_lts_matches_the_oracle_lts():
                 assert all(s is OVERFLOW or len(s) == len(lts.places) for s in lts.states)
 
 
+def _same_label_nets():
+    """A net with a duplicated transition, and one whose two tau events
+    both go over the cap from the initial marking: in each, two events
+    give one edge."""
+    twin = build_net(["p", "q"], {"t0": ("a", {"p": 1}, {"q": 1}),
+                                  "t1": ("a", {"p": 1}, {"q": 1})},
+                     open_in=["p"], initial={"p": 1})
+    spill = build_net(["a", "b", "c"], {"t1": ("tau", {"a": 1}, {"c": 1}),
+                                        "t3": ("tau", {"b": 1}, {"c": 1})},
+                      initial={"a": 1, "b": 1, "c": 1})
+    return [twin, spill]
+
+
+def test_the_one_pass_search_lists_the_oracle_lts():
+    """Each enabled event gives its one-event step in one loop, and an edge
+    is listed once per (label, target) among events that share a label:
+    the states, edges and their order are `oracle_lts`'s, in both modes."""
+    rng = random.Random(2707)
+    special = _same_label_nets()
+    merged = 0
+    for k, z in enumerate(special + [random_net(rng, max_trans=4) for _ in range(80)]):
+        for mode, max_step in ((FIRING, 1), (STEP, 1), (STEP, 2), (STEP, 3)):
+            for cap in (1, 2):
+                lts = build_lts(z, mode, cap=cap, max_step=max_step)
+                states, edges = oracle_lts(z, mode, cap, max_step)
+                assert [lts.marking(i) for i in range(len(lts.states))] == states
+                assert lts.labelled_edges() == edges
+                if k < len(special):
+                    fired = sum(len(oracle_steps(z, u, mode, float("inf"), max_step))
+                                for u in states if u is not OVERFLOW)
+                    merged += len(edges) < fired
+    assert merged == 12
+
+
 def test_build_lts_on_a_net_with_no_places():
     assert build_lts(build_net([], {}), STEP).states == [()]
     z = build_net([], {"t": ("a", {}, {})})
