@@ -273,7 +273,7 @@ def net_from_json(doc: dict) -> tuple[str, OpenNet]:
     )
     report = nets.validate_net(z)
     if not report.ok:
-        raise DocumentError(f"net {name!r} is not well-formed:\n{report}")
+        raise DocumentError(f"net {name!r} is not well-formed: {report}")
     return name, z
 
 
@@ -318,8 +318,7 @@ def _morphism_from(doc: dict, source: OpenNet, target: OpenNet, what: str) -> Mo
                  trans_map=_id_map(doc.get("transitions", {}), message))
     report = nets.validate_morphism(f)
     if not report.ok:
-        issues = "; ".join(sorted(map(str, report.issues)))
-        raise DocumentError(f"{what} is not a legal morphism: {issues}")
+        raise DocumentError(f"{what} is not a legal morphism: {report}")
     if not nets.is_embedding(f):
         raise DocumentError(f"{what} must be injective")
     return f

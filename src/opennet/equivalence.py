@@ -17,9 +17,12 @@ pair and lowers the depth by one per move, so it is as long as the initial
 pair's depth.  Witness and play write states as their markings' text.  One
 object (`_Union`) owns the union: it numbers each state once, when it first
 reads it, lays the edges out once, and gives the depth, the play and the
-verdict.  It is grown from the two searches in a strong check, read once
-from the two systems and saturated in a weak check, and read once from the
-prepared systems for each candidate eta of `search_correspondence`.
+verdict.  It is grown from the two searches in a strong check, and read once
+from the two systems and saturated in a weak check.  A correspondence search
+is a loop over `check_bisim`, which refutes a wrong eta near the initial
+markings, except a weak search over several candidates: a weak check has no
+such answer, so those candidates share one exploration and one closure per
+net, and the union reads the two weak-closed systems once per eta.
 
 A strong check first answers NotBisimilar, when it can, from the states
 near the initial markings (on-the-fly checking, after Fernandez & Mounier,
@@ -67,7 +70,6 @@ from .semantics import (
     DEFAULT_MAX_STEP,
     FIRING,
     OVERFLOW,
-    Lts,
     Obs,
     build_lts,
     label_sort_key,
@@ -410,13 +412,6 @@ def _local_verdict(searches, union: _Union, eta: Correspondence) -> BisimVerdict
     return None
 
 
-def _prepared_lts(z: OpenNet, kind, mode, tau_labels, cap, max_step) -> Lts:
-    lts = build_lts(z, mode=mode, cap=cap, max_step=max_step)
-    if kind == "weak":
-        lts = weak_closure(lts, tau_labels)
-    return lts
-
-
 def _check_kind(kind: str):
     if kind not in ("strong", "weak"):
         raise UnsupportedMode(f"unknown kind {kind!r}; expected 'strong' or 'weak'")
@@ -465,8 +460,14 @@ def search_correspondence(z1: OpenNet, z2: OpenNet, kind="strong", mode=FIRING,
     """Try every correspondence between the open places and keep any witness.
 
     Bisimilarity of nets quantifies existentially over correspondences, so
-    the nets are bisimilar iff some eta works.  Interfaces are required to
-    be small, the search being factorial.
+    the nets are bisimilar iff some eta works: the answer is the first
+    Bisimilar candidate's verdict, else the first Inconclusive one's, else
+    the first candidate's.  Interfaces are required to be small, the search
+    being factorial.  A strong search checks each candidate with
+    `check_bisim`, whose local answer refutes a wrong eta without exploring
+    either net in full.  A weak check has no such answer, so a weak search
+    over several candidates explores and closes each net once, for only
+    the first system's labels depend on eta.
     """
     _check_kind(kind)
     for side in ("+", "-"):
@@ -484,13 +485,16 @@ def search_correspondence(z1: OpenNet, z2: OpenNet, kind="strong", mode=FIRING,
     etas = [Correspondence(eta_in=dict(zip(ins1, perm_in)), eta_out=dict(zip(outs1, perm_out)))
             for perm_in in itertools.permutations(ins2)
             for perm_out in itertools.permutations(outs2)]
-    if len(etas) == 1:  # nothing to share between candidates: a plain check
-        return check_bisim(z1, z2, etas[0], kind, mode, tau_labels, cap, max_step)
-    # only the labels depend on eta, so each net is explored once
-    lts1, lts2 = (_prepared_lts(z, kind, mode, tau_labels, cap, max_step) for z in (z1, z2))
+    if kind == "strong" or len(etas) == 1:
+        verdicts = (check_bisim(z1, z2, eta, kind, mode, tau_labels, cap, max_step)
+                    for eta in etas)
+    else:
+        lts1, lts2 = (weak_closure(build_lts(z, mode=mode, cap=cap, max_step=max_step),
+                                   tau_labels) for z in (z1, z2))
+        verdicts = (_Union(lts1, lts2, _eta_rename(eta)).refine().verdict(eta, kind)
+                    for eta in etas)
     first = fallback = None
-    for eta in etas:
-        verdict = _Union(lts1, lts2, _eta_rename(eta)).refine().verdict(eta, kind)
+    for verdict in verdicts:
         if verdict.result == BISIMILAR:
             return verdict
         if verdict.result == INCONCLUSIVE and fallback is None:
@@ -567,8 +571,7 @@ def check_upto(z1: OpenNet, z2: OpenNet, eta: Correspondence, pairs,
     def responses(z, which, root, want_label):
         key = (which, root)
         if key not in cache:
-            lts = _prepared_lts(z.with_initial(root), "weak", FIRING, tau_labels, cap,
-                                DEFAULT_MAX_STEP)
+            lts = weak_closure(build_lts(z.with_initial(root), FIRING, cap=cap), tau_labels)
             moves = {}
             for src, label, dst in lts.labelled_edges():
                 if src == lts.initial and lts.states[dst] is not OVERFLOW:

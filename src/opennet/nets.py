@@ -219,7 +219,7 @@ class ValidationReport:
     def __str__(self):
         if self.ok:
             return "ok"
-        return "\n".join(str(issue) for issue in sorted(self.issues, key=str))
+        return "; ".join(sorted(map(str, self.issues)))
 
 
 def validate_net(z: OpenNet) -> ValidationReport:

@@ -72,7 +72,7 @@ class ConditionReport:
     def __str__(self):
         if self.ok:
             return "ok"
-        return "\n".join(str(v) for v in self.violations)
+        return "; ".join(map(str, self.violations))
 
 
 def find_matches(lhs: OpenNet, z: OpenNet) -> list:
@@ -88,37 +88,30 @@ def find_matches(lhs: OpenNet, z: OpenNet) -> list:
     pattern_places, host_places = sorted(lhs.places), sorted(z.places)
     matches = []
 
-    def unify_places(pairs, partial_places, used_places):
-        """Extend the place assignment so each (pattern multiset, host multiset)
-        pair is matched bijectively with equal counts; yields extensions."""
+    def unify_places(pairs, places, used, idx=0, taken=frozenset()):
+        """Extend the place assignment so each (pattern multiset, host
+        multiset, sorted pattern support) triple is matched bijectively with
+        equal counts; yields extensions.  The first triple's support is
+        assigned from its idx-th place on, and `taken` holds the host places
+        it already uses."""
         if not pairs:
-            yield partial_places, used_places
+            yield places, used
             return
-        (p_ms, h_ms), rest = pairs[0], pairs[1:]
-        p_support = sorted(p_ms.support())
-
-        def assign(idx, places, used, taken):
-            if idx == len(p_support):
-                if multiset.image({s: places[s] for s in p_support}, p_ms) == h_ms:
-                    yield from unify_places(rest, places, used)
-                return
-            s = p_support[idx]
-            if s in places:
-                c = places[s]
-                if c in taken or h_ms.count(c) != p_ms.count(s):
-                    return
-                yield from assign(idx + 1, places, used, taken | {c})
-                return
-            for c in sorted(h_ms.support()):
-                if c in taken or c in used:
-                    continue
-                if h_ms.count(c) != p_ms.count(s):
-                    continue
-                yield from assign(
-                    idx + 1, {**places, s: c}, used | {c}, taken | {c}
-                )
-
-        yield from assign(0, partial_places, used_places, set())
+        p_ms, h_ms, p_support = pairs[0]
+        if idx == len(p_support):
+            if multiset.image({s: places[s] for s in p_support}, p_ms) == h_ms:
+                yield from unify_places(pairs[1:], places, used)
+            return
+        s = p_support[idx]
+        if s in places:
+            c = places[s]
+            if c not in taken and h_ms.count(c) == p_ms.count(s):
+                yield from unify_places(pairs, places, used, idx + 1, taken | {c})
+            return
+        for c in sorted(h_ms.support()):
+            if c not in taken and c not in used and h_ms.count(c) == p_ms.count(s):
+                yield from unify_places(pairs, {**places, s: c}, used | {c}, idx + 1,
+                                        taken | {c})
 
     def extend_transitions(idx, trans_assign, used_trans, place_assign, used_places):
         if idx == len(pattern_trans):
@@ -138,7 +131,8 @@ def find_matches(lhs: OpenNet, z: OpenNet) -> list:
         for c in host_trans:
             if c in used_trans or z.label(c) != lhs.label(t):
                 continue
-            pairs = [(lhs.pre(t), z.pre(c)), (lhs.post(t), z.post(c))]
+            pairs = [(p_ms, h_ms, sorted(p_ms.support()))
+                     for p_ms, h_ms in ((lhs.pre(t), z.pre(c)), (lhs.post(t), z.post(c)))]
             for new_places, new_used in unify_places(pairs, place_assign, used_places):
                 extend_transitions(
                     idx + 1, {**trans_assign, t: c}, used_trans | {c},

@@ -145,10 +145,6 @@ def test_a_failed_save_exits_3(tmp_path, capsys, monkeypatch):
 # documents built from the net library, written to files named by these keys
 GENERATED = {
     "{loop_span}": lambda: documents.emit_span(*loop_span()),
-    "{absorber}": lambda: documents.emit_net("absorber", absorber()),
-    "{absorber_relation}": lambda: documents.emit_relation(
-        [(Multiset(), Multiset()), (Multiset({"s": 1}), Multiset({"s": 1}))]),
-    "{empty_relation}": lambda: documents.emit_relation([(Multiset(), Multiset())]),
 }
 
 GENERATED_CASES = [
@@ -156,10 +152,25 @@ GENERATED_CASES = [
     ("compose_two_sided_span.out", 0, ["compose", "two_sided_span.json"]),
     ("validate_chain3.out", 0, ["validate", "chain3.json"]),
     ("upto_absorber_accepted.out", 0,
-     ["upto", "{absorber}", "{absorber}", "--relation", "{absorber_relation}", "--cap", "4"]),
+     ["upto", "absorber.json", "absorber.json", "--relation", "absorber_relation.json",
+      "--cap", "4"]),
     ("upto_absorber_rejected.out", 1,
-     ["upto", "{absorber}", "{absorber}", "--relation", "{empty_relation}", "--cap", "4"]),
+     ["upto", "absorber.json", "absorber.json", "--relation", "absorber_empty_relation.json",
+      "--cap", "4"]),
 ]
+
+# documents under data/ that the net library also builds
+LIBRARY_DOCUMENTS = {
+    "absorber.json": lambda: documents.emit_net("absorber", absorber()),
+    "absorber_relation.json": lambda: documents.emit_relation(
+        [(Multiset(), Multiset()), (Multiset({"s": 1}), Multiset({"s": 1}))]),
+    "absorber_empty_relation.json": lambda: documents.emit_relation([(Multiset(), Multiset())]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_DOCUMENTS))
+def test_a_checked_in_document_is_the_library_one(name):
+    assert _data(name) == LIBRARY_DOCUMENTS[name]()
 
 
 def _materialised(args, tmp_path, docs):
@@ -231,6 +242,17 @@ def test_bisim_without_eta_refuses_a_wide_interface(tmp_path, capsys):
     assert capsys.readouterr() == ("", (
         "error: interface too large for automatic search (>5 places); "
         "provide a correspondence explicitly\n"))
+
+
+def test_bisim_names_every_fault_of_an_eta_on_one_line(tmp_path, capsys):
+    # each component maps its open place to the other net's other open place
+    eta = tmp_path / "eta.json"
+    eta.write_text(json.dumps({"format": "opennet-eta/1", "plus": {"p0": "p2"},
+                               "minus": {"p2": "p0"}}), encoding="utf-8")
+    assert main(_argv(["bisim", "chain3.json", "chain3_copy.json", "--eta", str(eta)])) == 3
+    assert capsys.readouterr() == ("", (
+        "error: NotBijective: input component is not a bijection onto the open places; "
+        "NotBijective: output component is not a bijection onto the open places\n"))
 
 
 def _net_doc(name, places):
@@ -307,7 +329,10 @@ def _edited(text, edit):
 
 
 _span_text = GENERATED["{loop_span}"]
-_empty_net_text = GENERATED["{absorber}"]
+
+
+def _empty_net_text():
+    return _data("absorber.json")
 
 
 MALFORMED = {
@@ -384,7 +409,7 @@ MALFORMED = {
         ["bisim", "chain3.json", "chain3_copy.json", "--eta", "{doc}", "--cap", "1"]),
     "upto-eta-not-bijective": (
         lambda: json.dumps({"format": "opennet-eta/1", "plus": {}, "minus": {}}),
-        ["upto", "chain3.json", "chain3.json", "--relation", "{empty_relation}",
+        ["upto", "chain3.json", "chain3.json", "--relation", "absorber_empty_relation.json",
          "--eta", "{doc}", "--cap", "2"]),
     # negative bounds
     "lts-negative-cap": (_empty_net_text, ["lts", "{doc}", "--cap", "-1"]),
@@ -432,5 +457,5 @@ def test_malformed_input_exits_3_without_traceback(tmp_path, capsys, case):
     assert main(_materialised(args, tmp_path, {**GENERATED, "{doc}": make})) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert DIAGNOSES.get(case, "") in captured.err

@@ -124,12 +124,12 @@ MALFORMED_NETS = [
      "pre-set of 't' must be an object mapping places to counts"),
     (_net_doc(transitions=_transition(label="")), "transition 't' needs a non-empty string label"),
     (_net_doc(transitions=_transition(pre={"x": 1})),
-     "net 'n' is not well-formed:\n"
+     "net 'n' is not well-formed: "
      "UnknownPlace: pre-set of 't' references undeclared place 'x'"),
     (_net_doc(transitions={"p": {"label": "a", "pre": {"p": 1}, "post": {"y": 2, "x": 1}}}),
-     "net 'n' is not well-formed:\n"
-     "IdClash: 'p' is declared both as a place and as a transition\n"
-     "UnknownPlace: post-set of 'p' references undeclared place 'x'\n"
+     "net 'n' is not well-formed: "
+     "IdClash: 'p' is declared both as a place and as a transition; "
+     "UnknownPlace: post-set of 'p' references undeclared place 'x'; "
      "UnknownPlace: post-set of 'p' references undeclared place 'y'"),
     # the first fault in document order is the one reported
     (_net_doc(places={"p": {"open_in": 1, "colour": "red"}, "L:q": {}}),

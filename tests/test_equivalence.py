@@ -193,12 +193,21 @@ def _counting_builds(monkeypatch) -> list:
 
 
 def test_search_correspondence_explores_each_net_once(monkeypatch):
-    # NotBisimilar under all four correspondences, so every one is tried
+    # weakly NotBisimilar under all four correspondences, so every one is tried
     builds = _counting_builds(monkeypatch)
     z1, z2 = _two_by_two("b"), _two_by_two("c")
-    verdict = search_correspondence(z1, z2, kind="strong", mode=FIRING, cap=1)
+    verdict = search_correspondence(z1, z2, kind="weak", mode=FIRING, cap=1)
     assert verdict.result == NOT_BISIMILAR
     assert builds == [z1, z2]
+
+
+def test_strong_search_refutes_each_candidate_near_the_initial_markings(monkeypatch):
+    # every candidate is a plain check, answered before either net is built in full
+    builds = _counting_builds(monkeypatch)
+    verdict = search_correspondence(_two_by_two("b"), _two_by_two("c"), kind="strong",
+                                    mode=FIRING, cap=1)
+    assert verdict.result == NOT_BISIMILAR
+    assert builds == []
 
 
 def _search_pairs():
@@ -980,7 +989,7 @@ def test_refusals_come_in_their_order(kind, mode):
     bad_eta = Correspondence(eta_in={"p": "p"}, eta_out={})
     cases = [
         ((net(3), net(3), bad_eta, -1, 2), NotACorrespondence,
-         "NotBijective: input component is not a bijection onto the open places\n"
+         "NotBijective: input component is not a bijection onto the open places; "
          "NotBijective: input component is not total on the open places"),
         ((net(3), net(4), EMPTY_ETA, -1, 2), InvalidBound,
          "the cap (-1) and the step bound (2) must be non-negative"),

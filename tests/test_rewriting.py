@@ -13,6 +13,7 @@ data/rewriting_reports.json, recorded once and kept fixed; running this
 file as a script writes that file again.
 """
 
+import gc
 import itertools
 import json
 import random
@@ -22,7 +23,7 @@ import pytest
 
 from opennet.composition import mediating_morphism, pushout
 from opennet.equivalence import BISIMILAR, NOT_BISIMILAR, check_bisim, induced_correspondence
-from opennet import build_net, rewriting
+from opennet import build_net, documents, rewriting
 from opennet.errors import ConditionsViolated, EtaUndefined, NotProper
 from opennet.nets import Morphism, compose, identity, is_embedding, validate_morphism
 from opennet.rewriting import (
@@ -282,6 +283,39 @@ def brute_force_matches(lhs, z):
                 found.append(m)
     found.sort(key=lambda m: (sorted(m.trans_map.items()), sorted(m.place_map.items())))
     return found
+
+
+def _copies(z, k):
+    """k disjoint copies of z, the ids of copy i suffixed with i."""
+    def image(ms, i):
+        return {f"{s}{i}": c for s, c in ms.items()}
+
+    return build_net(
+        [f"{s}{i}" for i in range(k) for s in z.places],
+        {f"{t}{i}": (tr.label, image(tr.pre, i), image(tr.post, i))
+         for i in range(k) for t, tr in z.transitions.items()},
+        initial={s: c for i in range(k) for s, c in image(z.initial, i).items()},
+    )
+
+
+def test_find_matches_leaves_no_cycle_per_candidate():
+    # what only the cyclic collector frees after a search does not grow with
+    # the number of matches
+    _, host = documents.parse_net(
+        (REPORTS.parent / "service_host.json").read_text(encoding="utf-8"))
+    lhs = service_rule().lhs
+    freed = []
+    for k in (1, 10):
+        copies = _copies(host, k)
+        gc.collect()
+        gc.disable()
+        try:
+            matches = find_matches(lhs, copies)
+            freed.append(gc.collect())
+        finally:
+            gc.enable()
+        assert len(matches) == k
+    assert freed[0] == freed[1]
 
 
 def test_find_matches_equals_brute_force():
